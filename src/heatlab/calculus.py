@@ -120,19 +120,25 @@ def laplacian(space: ModelSpace, f: ScalarField) -> ScalarField:
     return ScalarField(_laplacian_values(space, f.values), space)
 
 
+def _stiffness_bands(space: ModelSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Bands of the symmetric S with L = diag(m)^{-1} S: S[i, i] = d[i] = -(c[i-1] + c[i])
+    and S[i, i+1 mod n] = c[i] = edge_weights[i] / h, with c[n-1] = 0 on intervals."""
+    c = np.zeros(space.n_nodes)
+    c[: space.n_edges] = space.edge_weights / space.spacing
+    return -(np.roll(c, 1) + c), c
+
+
+def _stiffness_matrix(space: ModelSpace) -> np.ndarray:
+    d, c = _stiffness_bands(space)
+    s = np.diag(d) + np.diag(c[:-1], 1) + np.diag(c[:-1], -1)
+    s[0, -1] = s[-1, 0] = c[-1]
+    return s
+
+
 def laplacian_matrix(space: ModelSpace) -> np.ndarray:
     """Dense matrix of the Laplacian; rows scale by 1/m_i, so it is
     self-adjoint w.r.t. the m-weighted inner product but not symmetric."""
-    n = space.n_nodes
-    cond = space.edge_weights / space.spacing
-    s = np.zeros((n, n))
-    for e in range(space.n_edges):
-        i, j = e, (e + 1) % n
-        s[i, i] -= cond[e]
-        s[j, j] -= cond[e]
-        s[i, j] += cond[e]
-        s[j, i] += cond[e]
-    return s / space.measure[:, None]
+    return _stiffness_matrix(space) / space.measure[:, None]
 
 
 def carre_du_champ_edge(space: ModelSpace, f: ScalarField, g: ScalarField | None = None) -> EdgeField:

@@ -1,7 +1,7 @@
-"""Heat semigroup evaluation via dense spectral decomposition.
+"""Heat semigroup evaluation via spectral decomposition.
 
 The generator is m-self-adjoint, so the similarity transform
-D^{1/2} L D^{-1/2} (D = diag(m)) is symmetric and a single dense
+D^{1/2} L D^{-1/2} (D = diag(m)) is symmetric, tridiagonal on intervals, and one
 eigendecomposition gives the semigroup at arbitrary times with no
 time-stepping error: the semigroup law, mass conservation and the maximum
 principle then hold to roundoff.  Intended for desk scale (n up to ~2000).
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-from .calculus import ScalarField, _laplacian_values, _same_space
+from .calculus import ScalarField, _laplacian_values, _same_space, _stiffness_bands, _stiffness_matrix
 from .errors import DomainError, NumericalError
 from .space import ModelSpace
 
@@ -75,27 +76,24 @@ def time_resolution_floor(space: ModelSpace) -> float:
 
 
 def build_solver(space: ModelSpace) -> SpectralSolver:
-    """Dense symmetric eigendecomposition of the generator.
+    """Symmetric eigendecomposition of the generator: tridiagonal on intervals,
+    dense on circles, whose wrap edge breaks the tridiagonal form.
 
     Deterministic for a fixed space: eigenvalues sorted nonincreasing, each
     eigenfield's largest-magnitude entry made positive, and the constant mode
     pinned exactly to (0, 1).
     """
     n = space.n_nodes
-    cond = space.edge_weights / space.spacing
-    s = np.zeros((n, n))
-    for e in range(space.n_edges):
-        i, j = e, (e + 1) % n
-        s[i, i] -= cond[e]
-        s[j, j] -= cond[e]
-        s[i, j] += cond[e]
-        s[j, i] += cond[e]
     inv_sqrt_m = 1.0 / np.sqrt(space.measure)
-    sym = s * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
-    sym = 0.5 * (sym + sym.T)
     try:
-        vals, vecs = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on sym matrices is robust
+        if space.is_circle:
+            sym = _stiffness_matrix(space) * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
+            vals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
+        else:
+            d, c = _stiffness_bands(space)
+            off = c[:-1] * inv_sqrt_m[:-1] * inv_sqrt_m[1:]
+            vals, vecs = eigh_tridiagonal(d / space.measure, off)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - symmetric eigensolvers are robust
         raise NumericalError(f"eigendecomposition failed on {space.model_id}: {exc}") from exc
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
@@ -103,10 +101,8 @@ def build_solver(space: ModelSpace) -> SpectralSolver:
     # Deterministic sign convention, then pin the constant mode exactly and
     # re-orthogonalize the rest against it (removes the eigensolver's dust on
     # the constant direction, which mass conservation depends on).
-    for k in range(n):
-        col = fields[:, k]
-        if col[np.argmax(np.abs(col))] < 0:
-            fields[:, k] = -col
+    flip = fields[np.argmax(np.abs(fields), axis=0), np.arange(n)] < 0
+    fields[:, flip] = -fields[:, flip]
     vals[0] = 0.0
     fields[:, 0] = 1.0
     overlap = space.measure @ fields[:, 1:]
@@ -143,10 +139,7 @@ def heat_kernel(solver: SpectralSolver, x: int, t: float) -> HeatKernelField:
     """
     if t <= 0:
         raise DomainError(f"heat kernel needs t > 0, got {t}")
-    n = solver.space.n_nodes
-    x = int(x)
-    if not 0 <= x < n:
-        raise DomainError(f"base node index {x} out of range [0, {n})")
+    x = solver.space.node_index(x)
     weights = np.exp(solver.eigenvalues * t) * solver.eigenfields[x, :]
     values = solver.eigenfields @ weights
     low = float(values.min())

@@ -263,16 +263,17 @@ def harnack_check(
     if not 0 < s < t:
         raise DomainError(f"harnack_check needs 0 < s < t, got s={s}, t={t}")
     space = solver.space
+    x, y = space.node_index(x), space.node_index(y)
     fe = _regularized(f)
     u_s = heat_apply(solver, fe, s).values
     u_t = heat_apply(solver, fe, t).values
     d = space.distance(x, y)
     denom_exp = math.exp(2.0 * cd.K * (s if cd.K >= 0 else t) / 3.0)
-    rhs = u_s[int(x)] * math.exp(-d * d / (4.0 * (t - s) * denom_exp)) * harnack_prefactor(s, t, cd)
-    margin = float(u_t[int(y)] - rhs)
+    rhs = u_s[x] * math.exp(-d * d / (4.0 * (t - s) * denom_exp)) * harnack_prefactor(s, t, cd)
+    margin = float(u_t[y] - rhs)
     return make_report(
         name="harnack",
-        params=_base_params(space, cd, x=int(x), y=int(y), s=s, t=t),
+        params=_base_params(space, cd, x=x, y=y, s=s, t=t),
         min_margin=margin,
         tolerance=tolerance,
         extras={"distance": d, "prefactor": harnack_prefactor(s, t, cd)},

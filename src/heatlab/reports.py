@@ -43,8 +43,8 @@ class InequalityReport:
         out = {
             "name": self.name,
             "params": _plain(self.params),
-            # NaN marks an errored check; keep the JSON strict.
-            "min_margin": None if math.isnan(self.min_margin) else self.min_margin,
+            # NaN marks an errored check; strict JSON has no token for NaN or +-inf.
+            "min_margin": self.min_margin if math.isfinite(self.min_margin) else None,
             "tolerance": self.tolerance,
             "verdict": self.verdict,
         }

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidGeometryError, InvalidParameterError
+from .errors import DomainError, InvalidGeometryError, InvalidParameterError
 
 TOPOLOGY_INTERVAL = "interval-neumann"
 TOPOLOGY_CIRCLE = "circle"
@@ -120,6 +120,12 @@ class ModelSpace:
     @property
     def is_circle(self) -> bool:
         return self.topology == TOPOLOGY_CIRCLE
+
+    def node_index(self, x) -> int:
+        """``x`` as a node index; raises DomainError unless 0 <= x < n_nodes (no wraparound)."""
+        if not 0 <= int(x) < self.n_nodes:
+            raise DomainError(f"node index {x} out of range [0, {self.n_nodes})")
+        return int(x)
 
     def distance(self, i: int, j: int) -> float:
         """Metric distance between nodes i and j (arc distance on circles)."""

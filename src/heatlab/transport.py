@@ -460,6 +460,7 @@ def harnack_transport_check(
         raise PreconditionError("harnack_transport_check needs f >= 0")
     if r <= 0:
         raise InvalidParameterError(f"ball radius must be positive, got {r}")
+    x, y = space.node_index(x), space.node_index(y)
     ball_y = _ball_indices(space, y, r)
     ball_x = _ball_indices(space, x, r)
     if ball_y.size == 0 or ball_x.size == 0:
@@ -486,7 +487,7 @@ def harnack_transport_check(
     margin = rhs - lhs
     return make_report(
         name="harnack-transport",
-        params={"x": int(x), "y": int(y), "s": s, "t": t, "K": K, "N": N, "r": r,
+        params={"x": x, "y": y, "s": s, "t": t, "K": K, "N": N, "r": r,
                 "model": space.model_id},
         min_margin=margin,
         tolerance=tolerance,

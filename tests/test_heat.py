@@ -5,8 +5,10 @@ import pytest
 
 from heatlab import (
     build_circle,
+    build_hyperbolic_model,
     build_interval,
     build_solver,
+    build_sphere_model,
     cheeger_energy,
     field,
     gaussian_kernel_oracle,
@@ -15,6 +17,7 @@ from heatlab import (
     heat_time_derivative,
     laplacian,
 )
+from heatlab.calculus import laplacian_matrix
 from heatlab.errors import DomainError
 from heatlab.heat import ResolutionWarning, laplacian_consistency_error, time_resolution_floor
 
@@ -67,6 +70,83 @@ def test_solver_is_deterministic(circle200):
     assert np.array_equal(a.eigenfields, b.eigenfields)
 
 
+def _loop_assembled_dense_solver(space):
+    """Frozen reference: the per-edge loop assembly and dense eigh that
+    build_solver used for every topology before the tridiagonal path."""
+    n = space.n_nodes
+    cond = space.edge_weights / space.spacing
+    s = np.zeros((n, n))
+    for e in range(space.n_edges):
+        i, j = e, (e + 1) % n
+        s[i, i] -= cond[e]
+        s[j, j] -= cond[e]
+        s[i, j] += cond[e]
+        s[j, i] += cond[e]
+    inv_sqrt_m = 1.0 / np.sqrt(space.measure)
+    sym = s * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
+    sym = 0.5 * (sym + sym.T)
+    vals, vecs = np.linalg.eigh(sym)
+    order = np.argsort(-vals, kind="stable")
+    vals = vals[order]
+    fields = vecs[:, order] * inv_sqrt_m[:, None]
+    for k in range(n):
+        col = fields[:, k]
+        if col[np.argmax(np.abs(col))] < 0:
+            fields[:, k] = -col
+    vals[0] = 0.0
+    fields[:, 0] = 1.0
+    overlap = space.measure @ fields[:, 1:]
+    fields[:, 1:] -= overlap[None, :]
+    return vals, fields
+
+
+@pytest.mark.parametrize("space", [build_circle(200, TWO_PI), build_circle(57, 3.0)])
+def test_circle_solver_is_bit_identical_to_loop_assembly(space):
+    vals, fields = _loop_assembled_dense_solver(space)
+    solver = build_solver(space)
+    assert np.array_equal(solver.eigenvalues, vals)
+    assert np.array_equal(solver.eigenfields, fields)
+
+
+INTERVAL_MODELS = {
+    "interval": lambda n: build_interval(n, 1.0),
+    "sphere": lambda n: build_sphere_model(n, 2.0),
+    "hyperbolic": lambda n: build_hyperbolic_model(n, 2.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("n", [50, 400, 1000])
+@pytest.mark.parametrize("model", sorted(INTERVAL_MODELS))
+def test_tridiagonal_solver_matches_dense_oracle(model, n):
+    space = INTERVAL_MODELS[model](n)
+    m = space.measure
+    lap = laplacian_matrix(space)
+    sqrt_m = np.sqrt(m)
+    sym = sqrt_m[:, None] * lap / sqrt_m[None, :]
+    oracle_vals, oracle_vecs = np.linalg.eigh(0.5 * (sym + sym.T))
+    oracle_fields = oracle_vecs / sqrt_m[:, None]
+    solver = build_solver(space)
+    vals, fields = solver.eigenvalues, solver.eigenfields
+    radius = float(np.max(np.abs(oracle_vals)))
+
+    assert np.max(np.abs(vals - oracle_vals[::-1])) <= 1e-13 * radius
+    # L 1 = 0 exactly; eigh only finds the top eigenvalue to ~eps * radius,
+    # which at t = 1 would shift the oracle flow by that much times sup f.
+    oracle_vals[-1] = 0.0
+    rng = np.random.default_rng(n)
+    f = field(space, smooth_random_values(space, rng))
+    for t in (1e-3, 0.1, 1.0):
+        expected = oracle_fields @ (np.exp(oracle_vals * t) * (oracle_fields.T @ (m * f.values)))
+        assert np.max(np.abs(heat_apply(solver, f, t).values - expected)) <= 1e-10
+
+    residual = lap @ fields - fields * vals[None, :]
+    assert np.sqrt(np.max(m @ residual**2)) / radius <= 1e-12
+    gram = fields.T @ (m[:, None] * fields)
+    assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
+    assert vals[0] == 0.0
+    assert np.array_equal(fields[:, 0], np.ones(n))
+
+
 # -- semigroup ---------------------------------------------------------------
 
 
@@ -96,6 +176,18 @@ def test_semigroup_law(sphere200, solvers):
     one_shot = heat_apply(solver, f, 0.9).values
     two_step = heat_apply(solver, heat_apply(solver, f, 0.4), 0.5).values
     assert np.max(np.abs(one_shot - two_step)) <= 1e-12
+
+
+def test_semigroup_law_on_ill_conditioned_measure():
+    # The node measure spans about 3e-29 to 6e-2 here, so the semigroup law
+    # holds only to ~1e-8 pointwise, for the dense solver as for the tridiagonal one.
+    space = build_hyperbolic_model(800, 5.0, 12.0)
+    solver = build_solver(space)
+    rel = (space.nodes - space.nodes[0]) / (space.nodes[-1] - space.nodes[0])
+    f = field(space, 1.5 + np.cos(np.pi * rel))
+    one_shot = heat_apply(solver, f, 0.3).values
+    two_step = heat_apply(solver, heat_apply(solver, f, 0.1), 0.2).values
+    assert np.max(np.abs(one_shot - two_step)) <= 2e-8
 
 
 def test_heat_mass_and_extremes(hyperbolic200, solvers):

@@ -9,6 +9,8 @@ from heatlab import (
     baudoin_garofalo_check,
     be_flow_check,
     bg_bound,
+    build_interval,
+    build_solver,
     carre_du_champ,
     eks_check,
     field,
@@ -236,6 +238,14 @@ def test_harnack_rejects_bad_times(circle200, solvers):
         harnack_check(solvers["circle200"], f, 0, 1, 1.0, 0.5, CD_FLAT)
     with pytest.raises(DomainError):
         harnack_check(solvers["circle200"], f, 0, 1, 0.0, 0.5, CD_FLAT)
+
+
+@pytest.mark.parametrize("x, y", [(-1, 5), (5, -1), (40, 5), (5, 400)])
+def test_harnack_rejects_out_of_range_nodes(x, y):
+    # A negative index must not wrap to node n-1, and x >= n must not escape as IndexError.
+    space = build_interval(40, 1.0)
+    with pytest.raises(DomainError):
+        harnack_check(build_solver(space), field(space, np.ones(40)), x, y, 0.5, 1.0, CD_FLAT)
 
 
 # -- semigroup gradient bounds ---------------------------------------------------

@@ -1,6 +1,8 @@
+import json
 import math
 
 import numpy as np
+import pytest
 
 from heatlab import (
     build_circle,
@@ -11,6 +13,7 @@ from heatlab import (
     measure_from_masses,
     w2_quantile,
 )
+from heatlab.reports import make_report
 from heatlab.serialize import (
     field_to_csv,
     interpolation_to_csv,
@@ -67,3 +70,10 @@ def test_spectrum_csv(tmp_path, solvers):
     assert lines[0] == "k,eigenvalue"
     assert lines[1] == "0,0.0"
     assert len(lines) == 201
+
+
+@pytest.mark.parametrize("margin", [math.inf, -math.inf, math.nan])
+def test_report_dict_is_strict_json_for_non_finite_margins(margin):
+    rep = make_report("cd-star", {"t": 0.5}, margin, 1e-6, vacuous=True)
+    text = json.dumps(rep.to_dict(), allow_nan=False)
+    assert json.loads(text)["min_margin"] is None

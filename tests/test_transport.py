@@ -9,6 +9,7 @@ from heatlab import (
     CurvatureDimension,
     build_circle,
     build_interval,
+    build_solver,
     build_sphere_model,
     cd_star_check,
     compression_bound,
@@ -349,6 +350,17 @@ def test_harnack_transport_rejects_bad_arguments(circle200, solvers):
     with pytest.raises(PreconditionError):
         harnack_transport_check(
             solver, field(circle200, -np.ones(200)), 0, 5, 0.5, 1.0, cd, r=0.1
+        )
+
+
+@pytest.mark.parametrize("x, y", [(-3, 5), (5, -3), (40, 5), (5, 400)])
+def test_harnack_transport_rejects_out_of_range_nodes(x, y):
+    # Without the check, x = -3 or x = 40 builds a ball around a node that does not exist.
+    space = build_interval(40, 1.0)
+    with pytest.raises(DomainError):
+        harnack_transport_check(
+            build_solver(space), field(space, np.ones(40)), x, y, 0.5, 1.0,
+            CurvatureDimension(0.0, 1.0), r=0.1,
         )
 
 
