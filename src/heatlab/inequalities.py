@@ -290,6 +290,9 @@ def harnack_scan(
     tolerance: float = 1e-6,
 ) -> InequalityReport:
     """Scanning variant: minimum harnack_check margin over a node/time grid."""
+    for label, values in (("xs", xs), ("ys", ys), ("time_pairs", time_pairs)):
+        if len(values) == 0:
+            raise InvalidParameterError(f"harnack_scan needs a non-empty {label}")
     worst = math.inf
     worst_at = None
     count = 0

@@ -127,21 +127,22 @@ class ModelSpace:
             raise DomainError(f"node index {x} out of range [0, {self.n_nodes})")
         return int(x)
 
-    def distance(self, i: int, j: int) -> float:
-        """Metric distance between nodes i and j (arc distance on circles)."""
+    def distances(self, i, j) -> np.ndarray:
+        """Metric distances between node index arrays i and j, broadcast (arc distance on circles)."""
         # Uniform grid: work with index offsets so distances are exact
         # multiples of h up to a single rounding.
-        k = abs(int(i) - int(j))
-        if self.is_circle:
-            k = min(k, self.n_nodes - k)
-        return k * self.spacing
-
-    def distance_matrix(self) -> np.ndarray:
-        idx = np.arange(self.n_nodes)
-        k = np.abs(idx[:, None] - idx[None, :])
+        k = np.abs(np.subtract(i, j))
         if self.is_circle:
             k = np.minimum(k, self.n_nodes - k)
         return k * self.spacing
+
+    def distance(self, i: int, j: int) -> float:
+        """Metric distance between nodes i and j (arc distance on circles)."""
+        return float(self.distances(int(i), int(j)))
+
+    def distance_matrix(self) -> np.ndarray:
+        idx = np.arange(self.n_nodes)
+        return self.distances(idx[:, None], idx[None, :])
 
     def interior_mask(self, margin_steps: int = 2) -> np.ndarray:
         """Boolean mask of nodes at least ``margin_steps`` grid steps from a boundary.

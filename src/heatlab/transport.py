@@ -2,8 +2,9 @@
 
 Quadratic-cost couplings between discrete measures are computed by monotone
 (quantile) rearrangement, which is optimal on the line; the circular variant
-searches the cyclic shift of the quantile alignment over its cumulative-mass
-breakpoints.  A small-instance linear program serves as the independent
+finds the cyclic shift of the quantile alignment by bisection over its
+cumulative-mass breakpoints, on the cost lifted to the line, which is convex
+in the shift.  A small-instance linear program serves as the independent
 oracle.  On top of the couplings sit the distortion coefficients,
 displacement interpolation, the entropy-convexity check, and the
 transport-side replay of the two-time comparison bound.
@@ -85,7 +86,7 @@ def reference_measure(space: ModelSpace) -> DiscreteMeasure:
 
 def point_mass(space: ModelSpace, index: int) -> DiscreteMeasure:
     masses = np.zeros(space.n_nodes)
-    masses[int(index)] = 1.0
+    masses[space.node_index(index)] = 1.0
     return DiscreteMeasure(masses, space)
 
 
@@ -133,6 +134,19 @@ class TransportPlan:
         return dense
 
 
+def _sigma_coefficients(t: float, theta, K: float, N: float) -> np.ndarray:
+    """Array form of ``sigma_coefficient`` over theta; arguments are not validated."""
+    theta = np.asarray(theta, dtype=float)
+    kt2 = K * theta * theta
+    sigma = np.full(theta.shape, float(t))
+    rate = math.sqrt(abs(K) / N)
+    for branch, ratio in (((kt2 > 0) & (kt2 < N * math.pi**2), np.sin), (kt2 < 0, np.sinh)):
+        a = theta[branch] * rate
+        sigma[branch] = ratio(t * a) / ratio(a)
+    sigma[kt2 >= N * math.pi**2] = math.inf
+    return sigma
+
+
 def sigma_coefficient(t: float, theta: float, K: float, N: float) -> float:
     """Distortion coefficient with exact four-branch selection.
 
@@ -146,16 +160,7 @@ def sigma_coefficient(t: float, theta: float, K: float, N: float) -> float:
         raise InvalidParameterError(f"distortion coefficient needs theta >= 0, got {theta}")
     if N < 1:
         raise InvalidParameterError(f"distortion coefficient needs N >= 1, got {N}")
-    kt2 = K * theta * theta
-    if kt2 >= N * math.pi**2:
-        return math.inf
-    if kt2 > 0:
-        a = theta * math.sqrt(K / N)
-        return math.sin(t * a) / math.sin(a)
-    if kt2 == 0.0:
-        return float(t)
-    a = theta * math.sqrt(-K / N)
-    return math.sinh(t * a) / math.sinh(a)
+    return float(_sigma_coefficients(t, [theta], K, N)[0])
 
 
 def _support(mu: DiscreteMeasure):
@@ -163,102 +168,95 @@ def _support(mu: DiscreteMeasure):
     return idx, mu.masses[idx]
 
 
-def _monotone_cells(idx0, w0, idx1, w1):
-    """Quantile (monotone) coupling of two atom lists given in transport order.
-
-    Two-pointer merge; ``min`` leaves an exact zero on at least one side per
-    step, so the loop terminates with marginals reproduced to roundoff.
-    """
-    rows, cols, masses = [], [], []
-    a = np.array(w0, dtype=float)
-    b = np.array(w1, dtype=float)
-    i = j = 0
-    while i < len(a) and j < len(b):
-        take = min(a[i], b[j])
-        if take > 0:
-            rows.append(idx0[i])
-            cols.append(idx1[j])
-            masses.append(take)
-        a[i] -= take
-        b[j] -= take
-        if a[i] == 0.0:
-            i += 1
-        if j < len(b) and b[j] == 0.0:
-            j += 1
-    return np.array(rows, dtype=int), np.array(cols, dtype=int), np.array(masses)
-
-
 def _plan_cost(space: ModelSpace, rows, cols, masses) -> float:
-    if len(rows) == 0:
-        return 0.0
-    k = np.abs(rows - cols)
-    if space.is_circle:
-        k = np.minimum(k, space.n_nodes - k)
-    d = k * space.spacing
+    d = space.distances(rows, cols)
     return float(masses @ (d * d))
 
 
-def _circle_arc_sq(space: ModelSpace, src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    k = np.abs(src - tgt)
-    k = np.minimum(k, space.n_nodes - k)
-    d = k * space.spacing
-    return d * d
+def _cumulative(w: np.ndarray) -> np.ndarray:
+    """Cumulative masses, monotone and ending at exactly 1 despite rounding."""
+    cum = np.minimum(np.cumsum(w), 1.0)
+    cum[-1] = 1.0
+    return cum
 
 
-def _circle_segments(cum0, cum1, theta):
-    """Level-space segmentation of the shift-theta quantile alignment.
+def _segments(cum0, cum1, theta, top=1.0):
+    """Level-space segmentation of the quantile alignment shifted by theta.
 
-    Returns (source atom index per segment, target atom index, segment mass):
-    source atom i covers levels (cum0[i-1], cum0[i]], target atom j covers
-    levels shifted by theta modulo 1.
+    Level u in (0, top] couples source atom F0^{-1}(u) with target atom
+    F1^{-1}((u - theta) mod 1) on winding floor(u - theta) of the lifted
+    target.  Bounds are both cumulative-mass grids; segments are classified at
+    their midpoints.  Returns (source atom, target atom, winding, mass).
     """
-    lv1 = (cum1 + theta) % 1.0
-    bounds = np.unique(np.concatenate([[0.0, 1.0], cum0[:-1], lv1]))
-    masses = np.diff(bounds)
-    keep = masses > 0
-    mids = 0.5 * (bounds[1:] + bounds[:-1])[keep]
-    masses = masses[keep]
-    src = np.searchsorted(cum0, mids, side="left")
-    tgt = np.searchsorted(cum1, (mids - theta) % 1.0, side="left")
-    return src, np.minimum(tgt, len(cum1) - 1), masses
+    levels1 = (cum1 + theta) % 1.0
+    bounds = np.unique(np.concatenate([[0.0, top], cum0[cum0 < top], levels1[levels1 < top]]))
+    mids = 0.5 * (bounds[1:] + bounds[:-1])
+    lifted = mids - theta
+    src = np.searchsorted(cum0, mids)
+    tgt = np.minimum(np.searchsorted(cum1, lifted % 1.0), len(cum1) - 1)
+    return src, tgt, np.floor(lifted).astype(int), np.diff(bounds)
+
+
+def _optimal_shift(n: int, idx0, cum0, idx1, cum1) -> float:
+    """Cyclic shift of the quantile alignment on an n-node circle.
+
+    With the target lifted to the line (winding w puts atom j at x1[j] + w L),
+    the squared cost of the shift-theta alignment is convex and piecewise
+    linear in theta, with kinks at {cum0_i - cum1_j} mod 1 (Delon, Salomon &
+    Sobolevski 2010; Rabin, Delon & Gousseau 2011); the arc-priced cost is not
+    unimodal.  No optimal cell moves farther than L/2, so the optimum lies in
+    [-1, 2), where a bisection over the sorted kinks finds it.
+    """
+    kinks = np.unique((cum0[:, None] - cum1[None, :]).ravel() % 1.0)
+    thetas = np.concatenate([kinks - 1.0, kinks, kinks + 1.0])
+    # Kinks equal in exact arithmetic differ by cumsum rounding, a few (p + q)
+    # ulps; a bisection step across such a pair compares rounding noise.
+    resolution = 4 * (len(cum0) + len(cum1)) * np.finfo(float).eps
+    thetas = thetas[np.concatenate([[True], np.diff(thetas) > resolution])]
+
+    def lifted_cost(k: int) -> float:
+        src, tgt, winding, masses = _segments(cum0, cum1, thetas[k])
+        steps = idx1[tgt] + winding * n - idx0[src]
+        return float(masses @ (steps * steps))
+
+    lo, hi = 0, len(thetas) - 1
+    while hi - lo > 2:
+        mid = (lo + hi) // 2
+        if lifted_cost(mid) <= lifted_cost(mid + 1):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(thetas[min(range(lo, hi + 1), key=lifted_cost)])
 
 
 def w2_quantile(space: ModelSpace, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> TransportPlan:
     """Optimal quadratic-cost coupling by monotone (quantile) rearrangement.
 
-    On the circle the quantile alignment carries a cyclic shift; the cost is
-    piecewise linear in the shift, so the optimum sits at one of the
-    cumulative-mass breakpoints, which are enumerated exhaustively.  Cell
-    costs always use the arc distance, which is independent of how the
-    alignment winds.
+    On the interval the quantile alignment itself is optimal.  On the circle
+    the alignment carries a cyclic shift, found by bisection on the convex
+    lifted cost (see ``_optimal_shift``).  The plan's cost is priced by arc
+    distance, which equals the lifted cost at the optimal shift.
     """
     _check_measures(space, mu0, mu1)
     idx0, w0 = _support(mu0)
     idx1, w1 = _support(mu1)
-    if not space.is_circle:
-        rows, cols, masses = _monotone_cells(idx0, w0, idx1, w1)
-        cost = _plan_cost(space, rows, cols, masses)
-        return TransportPlan(mu0, mu1, rows, cols, masses, cost)
-
-    cum0 = np.cumsum(w0)
-    cum1 = np.cumsum(w1)
-    cum0[-1] = cum1[-1] = 1.0
-    thetas = np.unique((cum0[:, None] - cum1[None, :]).ravel() % 1.0)
-    best = None
-    for theta in thetas:
-        src, tgt, masses = _circle_segments(cum0, cum1, theta)
-        cost = float(masses @ _circle_arc_sq(space, idx0[src], idx1[tgt]))
-        if best is None or cost < best[0] - 1e-18:
-            best = (cost, src, tgt, masses)
-    cost, src, tgt, masses = best
-    # Merge duplicate (source, target) cells produced by the segmentation.
-    pair_key = src.astype(np.int64) * len(idx1) + tgt
-    uniq, inverse = np.unique(pair_key, return_inverse=True)
-    merged = np.bincount(inverse, weights=masses, minlength=len(uniq))
-    rows = idx0[(uniq // len(idx1)).astype(int)]
-    cols = idx1[(uniq % len(idx1)).astype(int)]
-    return TransportPlan(mu0, mu1, rows, cols, merged,
-                         _plan_cost(space, rows, cols, merged))
+    cum0, cum1 = _cumulative(w0), _cumulative(w1)
+    theta = _optimal_shift(space.n_nodes, idx0, cum0, idx1, cum1) if space.is_circle else 0.0
+    # Levels above 1/2 are segmented from the top (reversed atoms, shift -theta):
+    # near 1 a cumsum cannot resolve atoms below its ulp, and a 1e-16 cell on a
+    # 1e-34 atom distorts density-weighted integrals such as cd_star's.
+    low_src, low_tgt, _, low_mass = _segments(cum0, cum1, theta, top=0.5)
+    high_src, high_tgt, _, high_mass = _segments(
+        _cumulative(w0[::-1]), _cumulative(w1[::-1]), -theta, top=0.5)
+    src = np.concatenate([low_src, len(w0) - 1 - high_src])
+    tgt = np.concatenate([low_tgt, len(w1) - 1 - high_tgt])
+    # Merge duplicate (source, target) cells: the atoms at level 1/2 appear in
+    # both halves, and on the circle one atom pair can meet at both ends.
+    uniq, inverse = np.unique(src.astype(np.int64) * len(idx1) + tgt, return_inverse=True)
+    merged = np.bincount(inverse, weights=np.concatenate([low_mass, high_mass]))
+    rows = idx0[uniq // len(idx1)]
+    cols = idx1[uniq % len(idx1)]
+    return TransportPlan(mu0, mu1, rows, cols, merged, _plan_cost(space, rows, cols, merged))
 
 
 def w2_lp(space: ModelSpace, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> TransportPlan:
@@ -286,7 +284,11 @@ def w2_lp(space: ModelSpace, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> Tran
     for j in range(q - 1):
         a_eq[p + j, j::q] = 1.0
     b_eq = np.concatenate([w0, w1[:-1]])
-    res = _optimize.linprog(cost_vec, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    # HiGHS's default feasibility tolerance (1e-7) admits entries of -1e-7 that
+    # undercut the optimal cost by 1e-10; an oracle needs its tightest one.
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = _optimize.linprog(cost_vec, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                            options=tight)
     if not res.success:  # pragma: no cover - transport polytopes are always feasible
         raise NumericalError(f"transport LP failed: {res.message}")
     coupling = res.x.reshape(p, q)
@@ -405,12 +407,9 @@ def cd_star_check(
     mu_t = path.measures[0]
     plan = path.plan
 
-    k = np.abs(plan.rows - plan.cols)
-    if space.is_circle:
-        k = np.minimum(k, space.n_nodes - k)
-    theta = k * space.spacing
-    sig0 = np.array([sigma_coefficient(1.0 - t, th, cd.K, n_prime) for th in theta])
-    sig1 = np.array([sigma_coefficient(t, th, cd.K, n_prime) for th in theta])
+    theta = space.distances(plan.rows, plan.cols)
+    sig0 = _sigma_coefficients(1.0 - t, theta, cd.K, n_prime)
+    sig1 = _sigma_coefficients(t, theta, cd.K, n_prime)
     if np.any(np.isinf(sig0)) or np.any(np.isinf(sig1)):
         return math.inf
 
@@ -425,8 +424,7 @@ def cd_star_check(
 
 
 def _ball_indices(space: ModelSpace, center: int, radius: float) -> np.ndarray:
-    dists = np.array([space.distance(center, j) for j in range(space.n_nodes)])
-    return np.flatnonzero(dists <= radius * (1.0 + 1e-12))
+    return np.flatnonzero(space.distances(center, np.arange(space.n_nodes)) <= radius * (1 + 1e-12))
 
 
 def harnack_transport_check(

@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import heatlab
 from heatlab.cli import Scenario, list_models_text, main, run_scenario
 from heatlab.errors import ScenarioError
 
@@ -176,9 +179,14 @@ def test_scenario_from_dict_rejects_non_objects():
 
 
 def test_console_entry_point(tmp_path):
+    # The child imports the same heatlab as this process, also under a bare
+    # `pytest`, whose pythonpath setting does not reach subprocesses.
+    source_root = str(Path(heatlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "heatlab.cli", "list-models"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "hyperbolic_model" in proc.stdout

@@ -232,6 +232,17 @@ def test_harnack_scan_flat_circle(circle200, solvers):
     assert rep.verdict == "pass"
 
 
+@pytest.mark.parametrize("xs, ys, pairs", [
+    ([], [0, 50], [(0.25, 0.75)]),
+    ([0, 50], [], [(0.25, 0.75)]),
+    ([0, 50], [0, 50], []),
+])
+def test_harnack_scan_rejects_empty_grids(circle200, solvers, xs, ys, pairs):
+    f = field(circle200, np.ones(200))
+    with pytest.raises(InvalidParameterError):
+        harnack_scan(solvers["circle200"], f, xs, ys, pairs, CD_FLAT)
+
+
 def test_harnack_rejects_bad_times(circle200, solvers):
     f = field(circle200, np.ones(200))
     with pytest.raises(DomainError):

@@ -25,6 +25,7 @@ from heatlab import (
     w2_lp,
     w2_quantile,
 )
+from heatlab import transport
 from heatlab.errors import DomainError, InvalidParameterError, PreconditionError
 from heatlab.transport import reference_measure
 
@@ -37,6 +38,57 @@ def random_measure(space, rng, max_atoms=15):
     masses = np.zeros(space.n_nodes)
     masses[idx] = rng.random(k)
     return measure_from_masses(space, masses)
+
+
+# -- reference implementations -----------------------------------------------
+
+
+def exhaustive_arc_profile(space, mu0, mu1):
+    """Arc-priced cost of the shifted quantile alignment at every breakpoint in [0, 1).
+
+    Exhaustive reference for the circle shift search: it re-segments both
+    measures at each of the p*q cumulative-mass breakpoints.
+    """
+    idx0, idx1 = mu0.support, mu1.support
+    cum0 = np.cumsum(mu0.masses[idx0])
+    cum1 = np.cumsum(mu1.masses[idx1])
+    cum0[-1] = cum1[-1] = 1.0
+    costs = []
+    for theta in np.unique((cum0[:, None] - cum1[None, :]).ravel() % 1.0):
+        bounds = np.unique(np.concatenate([[0.0, 1.0], cum0[:-1], (cum1 + theta) % 1.0]))
+        masses = np.diff(bounds)
+        mids = 0.5 * (bounds[1:] + bounds[:-1])
+        src = np.searchsorted(cum0, mids, side="left")
+        tgt = np.minimum(np.searchsorted(cum1, (mids - theta) % 1.0, side="left"), len(cum1) - 1)
+        k = np.abs(idx0[src] - idx1[tgt])
+        d = np.minimum(k, space.n_nodes - k) * space.spacing
+        costs.append(float(masses @ (d * d)))
+    return np.array(costs)
+
+
+def two_pointer_cost(space, mu0, mu1):
+    """Reference for the interval path: two-pointer merge of the atom lists in transport order."""
+    idx0, idx1 = mu0.support, mu1.support
+    a = mu0.masses[idx0].copy()
+    b = mu1.masses[idx1].copy()
+    cost = 0.0
+    i = j = 0
+    while i < len(a) and j < len(b):
+        take = min(a[i], b[j])
+        d = abs(int(idx0[i]) - int(idx1[j])) * space.spacing
+        cost += take * d * d
+        a[i] -= take
+        b[j] -= take
+        if a[i] == 0.0:
+            i += 1
+        if j < len(b) and b[j] == 0.0:
+            j += 1
+    return cost
+
+
+def strict_local_minima(cyclic_values):
+    v = np.asarray(cyclic_values)
+    return int(np.sum((v < np.roll(v, 1)) & (v < np.roll(v, -1))))
 
 
 # -- distortion coefficients -------------------------------------------------
@@ -58,6 +110,16 @@ def test_sigma_branch_table():
     assert sigma_coefficient(0.25, 1.5, 2.0, 3.0) == pytest.approx(
         math.sin(0.25 * a) / math.sin(a), rel=1e-14
     )
+
+
+def test_sigma_array_form_matches_scalar():
+    # The rows of the branch table, each with thetas spanning every branch.
+    for t, K, N in [(0.3, 0.0, 5.0), (0.7, 3.0, 2.0), (0.5, 4.0, 2.0), (0.5, -1.0, 1.0),
+                    (0.25, 2.0, 3.0), (0.0, 2.0, 3.0), (1.0, -1.5, 2.0)]:
+        thetas = np.array([0.0, 1e-200, 0.5, 1.0, 1.5, 2.0, math.pi, 2 * math.pi, 10.0])
+        array_form = transport._sigma_coefficients(t, thetas, K, N)
+        scalar = [sigma_coefficient(t, th, K, N) for th in thetas]
+        assert array_form.tolist() == scalar
 
 
 def test_sigma_endpoints_and_monotonicity():
@@ -114,6 +176,24 @@ def test_lp_two_point_example():
     assert plan.cost == pytest.approx(0.25, abs=1e-12)
 
 
+def test_lp_plan_is_feasible_to_roundoff():
+    # At HiGHS's default feasibility tolerance this instance came back with an
+    # entry of -7.6e-8 and a cost 1.3e-10 below the optimum.
+    n = 367
+    space = build_circle(n, TWO_PI)
+    rng = np.random.default_rng(403446689)
+
+    def sparse(atoms):
+        masses = np.zeros(n)
+        masses[rng.choice(n, size=atoms, replace=False)] = rng.uniform(0.1, 1.0, atoms)
+        return measure_from_masses(space, masses)
+
+    mu0, mu1 = sparse(63), sparse(57)
+    plan = w2_lp(space, mu0, mu1)
+    assert plan.marginal_defect() <= 1e-12
+    assert plan.cost == pytest.approx(w2_quantile(space, mu0, mu1).cost, abs=1e-12)
+
+
 def test_lp_refuses_oversized_instances():
     space = build_interval(500, 1.0)
     mu = reference_measure(space)
@@ -152,6 +232,98 @@ def test_quantile_optimality_property(data):
     pl = w2_lp(space, mu0, mu1)
     # 1e-8 agreement: near-degenerate masses push the LP to its tolerance floor.
     assert pq.cost == pytest.approx(pl.cost, abs=1e-8)
+
+
+def test_quantile_sparse_circles_match_lp_and_exhaustive_search():
+    # Sparse circles on which the arc-priced cost has several strict local
+    # minima in the shift: a local search on it would stop early.
+    rng = np.random.default_rng(2024)
+    space = build_circle(40, TWO_PI)
+    minima = []
+    for _ in range(40):
+        mu0 = random_measure(space, rng, max_atoms=8)
+        mu1 = random_measure(space, rng, max_atoms=8)
+        plan = w2_quantile(space, mu0, mu1)
+        profile = exhaustive_arc_profile(space, mu0, mu1)
+        minima.append(strict_local_minima(profile))
+        assert plan.cost == pytest.approx(w2_lp(space, mu0, mu1).cost, abs=1e-12)
+        assert plan.cost == pytest.approx(profile.min(), abs=1e-12)
+        assert plan.marginal_defect() <= 1e-12
+    assert max(minima) >= 2
+
+
+def test_quantile_uniform_balls_on_circle_match_exhaustive_search():
+    # Uniform masses put many breakpoints at equal values up to the rounding
+    # of their cumulative sums; the bisection must not compare costs across them.
+    for n in (40, 200):
+        space = build_circle(n, TWO_PI)
+        for p in (2, 3, 5, 7, 9):
+            for q in (3, 5, 8):
+                for c0, c1 in [(0, n // 3), (n // 5, n - 4), (n // 2, n // 2 + 1)]:
+                    m0 = np.zeros(n)
+                    m0[(c0 + np.arange(p)) % n] = 1.0
+                    m1 = np.zeros(n)
+                    m1[(c1 + np.arange(q)) % n] = 1.0
+                    mu0, mu1 = measure_from_masses(space, m0), measure_from_masses(space, m1)
+                    plan = w2_quantile(space, mu0, mu1)
+                    assert plan.cost == pytest.approx(
+                        exhaustive_arc_profile(space, mu0, mu1).min(), abs=1e-12)
+                    assert plan.marginal_defect() <= 1e-12
+
+
+def test_circle_shift_search_uses_logarithmically_many_segmentations(monkeypatch):
+    calls = []
+    segments = transport._segments
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return segments(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "_segments", counted)
+    rng = np.random.default_rng(3)
+    space = build_circle(400, TWO_PI)
+    for p, q in [(80, 80), (20, 80), (400, 400)]:
+        m0, m1 = np.zeros(400), np.zeros(400)
+        m0[rng.choice(400, p, replace=False)] = rng.uniform(0.1, 1.0, p)
+        m1[rng.choice(400, q, replace=False)] = rng.uniform(0.1, 1.0, q)
+        calls.clear()
+        w2_quantile(space, measure_from_masses(space, m0), measure_from_masses(space, m1))
+        # Two per bisection step over at most 3pq shifts, three final
+        # candidates, and the plan's two halves.
+        assert len(calls) <= 2 * math.ceil(math.log2(3 * p * q)) + 5
+
+    interval = build_interval(50, 1.0)
+    calls.clear()
+    w2_quantile(interval, random_measure(interval, rng), random_measure(interval, rng))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_interval(20000, 1.0),
+    lambda: build_sphere_model(20000, 3.0),
+], ids=["interval", "sphere"])
+def test_interval_quantile_matches_two_pointer_merge(build):
+    space = build()
+    x = (space.nodes - space.nodes[0]) / (space.nodes[-1] - space.nodes[0])
+    mu0 = measure_from_density(space, 0.05 + np.exp(-(((x - 0.3) / 0.1) ** 2)))
+    mu1 = measure_from_density(space, 0.2 + np.cos(3 * x) ** 2)
+    plan = w2_quantile(space, mu0, mu1)
+    assert plan.cost == pytest.approx(two_pointer_cost(space, mu0, mu1), abs=1e-12)
+    assert plan.marginal_defect() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [400, 700, 1220])
+def test_quantile_plan_keeps_near_zero_pole_masses_small(n):
+    # Pole masses reach 1e-34 here.  cd_star integrates rho^(-1/N') over the
+    # plan, so a rounding-size cell (1e-16) on such an atom shifts the
+    # integral by 1e-2.
+    space = build_sphere_model(n, 2.0)
+    mu0 = measure_from_density(space, np.exp(-(((space.nodes - 1.1) / 0.25) ** 2)))
+    mu1 = measure_from_density(space, np.exp(-(((space.nodes - 2.0) / 0.25) ** 2)))
+    plan = w2_quantile(space, mu0, mu1)
+    for mu, cells in ((mu0, plan.rows), (mu1, plan.cols)):
+        weight = mu.density() ** -0.5
+        assert plan.masses @ weight[cells] == pytest.approx(mu.masses @ weight, rel=1e-7)
 
 
 def test_w2_triangle_inequality():
@@ -365,6 +537,13 @@ def test_harnack_transport_rejects_out_of_range_nodes(x, y):
 
 
 # -- measures ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("index", [-1, 40])
+def test_point_mass_rejects_out_of_range_nodes(index):
+    # Without the check, index -1 silently puts the mass on node 39.
+    with pytest.raises(DomainError):
+        point_mass(build_interval(40, 1.0), index)
 
 
 def test_measure_validation():
