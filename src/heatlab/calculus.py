@@ -71,7 +71,7 @@ def field(space: ModelSpace, values) -> ScalarField:
     return ScalarField(np.asarray(values, dtype=float), space)
 
 
-def _same_space(space: ModelSpace, *fields: ScalarField) -> None:
+def _same_space(space: ModelSpace, *fields) -> None:
     for f in fields:
         s = f.space
         if s is space:
@@ -83,7 +83,7 @@ def _same_space(space: ModelSpace, *fields: ScalarField) -> None:
             or not np.array_equal(s.nodes, space.nodes)
             or not np.array_equal(s.measure, space.measure)
         ):
-            raise DimensionMismatchError("field does not live on the given space")
+            raise DimensionMismatchError("field or measure does not live on the given space")
 
 
 def _edge_diffs(space: ModelSpace, values: np.ndarray) -> np.ndarray:
@@ -262,24 +262,20 @@ def upper_gradient_check(space: ModelSpace, f: ScalarField, path) -> float:
     is a trapezoid sum per step, so the result is >= -O(h) for monotone paths.
     """
     _same_space(space, f)
-    nodes = [int(k) for k in path]
-    if len(nodes) < 2:
+    nodes = np.array([int(k) for k in path], dtype=int)
+    if nodes.size < 2:
         raise InvalidPathError("a path needs at least two nodes")
-    n = space.n_nodes
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        if not (0 <= a < n and 0 <= b < n):
-            raise InvalidPathError(f"path node out of range: ({a}, {b})")
-        step = abs(a - b)
-        if space.is_circle:
-            step = min(step, n - step)
-        if step > 1:
-            raise InvalidPathError(f"non-adjacent consecutive path nodes ({a}, {b})")
+    outside = nodes[(nodes < 0) | (nodes >= space.n_nodes)]
+    if outside.size:
+        raise InvalidPathError(f"path node {outside[0]} out of range [0, {space.n_nodes})")
+    a, b = nodes[:-1], nodes[1:]
+    steps = space.distances(a, b)
+    if np.any(steps > space.spacing):
+        k = int(np.argmax(steps > space.spacing))
+        raise InvalidPathError(f"non-adjacent consecutive path nodes ({a[k]}, {b[k]})")
     g = np.sqrt(carre_du_champ(space, f).values)
-    integral = 0.0
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        integral += 0.5 * (g[a] + g[b]) * space.distance(a, b)
     increment = abs(f.values[nodes[-1]] - f.values[nodes[0]])
-    return float(integral - increment)
+    return float((0.5 * (g[a] + g[b])) @ steps - increment)
 
 
 def log_field(f: ScalarField) -> ScalarField:

@@ -19,15 +19,19 @@ Scenario files are JSON::
                   "params": {"T": 0.5, "N": 1.0}, "tolerance": 1e-6}]
     }
 
-Identical scenario + seed produce byte-identical reports.
+A check's params are the keyword-only arguments of its adapter in ``CHECKS``,
+and model and field params are those of the model builder and the field
+profile.  Identical scenario + seed produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -36,64 +40,185 @@ import numpy as np
 from . import __version__
 from . import inequalities as iq
 from . import transport as tr
-from .calculus import ScalarField, bochner_margin, gamma2, laplacian
+from .calculus import ScalarField, bochner_margin, gamma2, interior_min, laplacian
 from .errors import HeatlabError, ScenarioError
 from .heat import build_solver
-from .profiles import FIELD_PROFILES, build_fields
+from .profiles import FIELD_PROFILES, build_fields, constant_profile
 from .reports import InequalityReport, amend, make_report
 from .serialize import margins_to_csv, reports_to_json
 from .space import MODEL_BUILDERS, MODEL_CATALOG, CurvatureDimension
 from .transport import measure_from_density
 
-_NUM = (int, float)
+
+# ---------------------------------------------------------------------------
+# checks: one adapter each, whose keyword-only parameters are the check's
+# scenario params (a default makes one optional; the annotation is its type).
+# An adapter that takes ``f`` runs once per member of the check's "field".
+
+
+def _li_yau(ctx, f, tol, *, T: float, N: float = None):
+    return [iq.li_yau_check(ctx.solver, f, float(T), ctx.cd(N=N).N, tolerance=tol)]
+
+
+def _bakry_qian(ctx, f, tol, *, T: float, K: float = None, N: float = None):
+    return [iq.bakry_qian_check(ctx.solver, f, float(T), ctx.cd(K, N), tolerance=tol)]
+
+
+def _baudoin_garofalo(ctx, f, tol, *, T: float, K: float = None, N: float = None):
+    return [iq.baudoin_garofalo_check(ctx.solver, f, float(T), ctx.cd(K, N), tolerance=tol)]
+
+
+def _harnack(ctx, f, tol, *, x: int, y: int, s: float, t: float,
+             K: float = None, N: float = None):
+    return [iq.harnack_check(ctx.solver, f, x, y, float(s), float(t), ctx.cd(K, N),
+                             tolerance=tol)]
+
+
+def _harnack_scan(ctx, f, tol, *, xs: list[int], ys: list[int],
+                  pairs: list[tuple[float, float]], K: float = None, N: float = None):
+    pairs = [(float(s), float(t)) for s, t in pairs]
+    return [iq.harnack_scan(ctx.solver, f, xs, ys, pairs, ctx.cd(K, N), tolerance=tol)]
+
+
+def _harnack_transport(ctx, f, tol, *, x: int, y: int, s: float, t: float,
+                       r_steps: float = 2, K: float = None, N: float = None):
+    r = float(r_steps) * ctx.space.spacing
+    return [tr.harnack_transport_check(ctx.solver, f, x, y, float(s), float(t), ctx.cd(K, N),
+                                       r, tolerance=tol)]
+
+
+def _be_flow(ctx, f, tol, *, t: float, K: float = None, N: float = None):
+    return [iq.be_flow_check(ctx.solver, f, float(t), ctx.cd(K, N), tolerance=tol)]
+
+
+def _eks(ctx, f, tol, *, t: float, K: float = None, N: float = None):
+    return [iq.eks_check(ctx.solver, f, float(t), ctx.cd(K, N), tolerance=tol)]
+
+
+def _bochner(ctx, f, tol, *, K: float = None, N: float = None):
+    space, cd = ctx.space, ctx.cd(K, N)
+    margin = bochner_margin(space, f, cd)
+    return [make_report("bochner", iq._base_params(space, cd),
+                        interior_min(space, margin.values), tol, margin_field=margin)]
+
+
+def _phi_derivative(ctx, f, tol, *, T: float, t: float, dt: float):
+    ones = constant_profile(ctx.space)
+    defect = iq.phi_derivative_check(ctx.solver, f, float(T), float(t), ones, float(dt))
+    return [make_report("phi-derivative", iq._base_params(ctx.space, T=T, t=t, dt=dt),
+                        -defect, tol, notes="margin is minus the derivative-identity defect")]
+
+
+def _prop2(ctx, f, tol, *, T: float, times: list[float], dt: float = 1e-3,
+           K: float = None, N: float = None):
+    cd = ctx.cd(K, N)
+    a, a_prime = iq.quadratic_decay_profile(float(T))
+    gamma_fn = iq.gamma_for_profile(a, a_prime, cd)
+    return [iq.prop2_check(ctx.solver, f, float(T), a, a_prime, gamma_fn,
+                           constant_profile(ctx.space), [float(t) for t in times], cd,
+                           dt=float(dt), tolerance=tol)]
+
+
+def _pre_li_yau(ctx, f, tol, *, T: float, profile: str, K: float = None, N: float = None):
+    cd = ctx.cd(K, N)
+    if profile not in iq.V_PROFILES:
+        raise ScenarioError(f"unknown V-profile {profile!r}; known: {sorted(iq.V_PROFILES)}")
+    v = iq.V_PROFILES[profile](float(T), cd)
+    return [iq.pre_li_yau_check(ctx.solver, f, float(T), v, cd, tolerance=tol)]
+
+
+def _cd_star(ctx, tol, *, t: float, n_prime: float, mu0_field: str, mu1_field: str,
+             K: float = None, N: float = None):
+    space, cd = ctx.space, ctx.cd(K, N)
+    mu0 = measure_from_density(space, ctx.fields[mu0_field][0].values)
+    mu1 = measure_from_density(space, ctx.fields[mu1_field][0].values)
+    defect = tr.cd_star_check(space, mu0, mu1, float(t), cd, float(n_prime))
+    vacuous = math.isinf(defect)
+    note = "vacuous distortion branch (infinite coefficient)" if vacuous else ""
+    return [make_report("cd-star", iq._base_params(space, cd, n_prime=n_prime, t=t),
+                        0.0 if vacuous else defect, tol, vacuous=vacuous, notes=note)]
+
+
+def _kernel_corollary(ctx, tol, *, x: int, times: list[float],
+                      K: float = None, N: float = None):
+    return iq.kernel_corollary_suite(ctx.solver, x, ctx.cd(K, N), [float(t) for t in times],
+                                     tolerance=tol)
+
+
+def _oracle_error(ctx, tol, operator: str):
+    """Interior sup error of ``operator`` (laplacian or gamma2) on f = cos(x)
+    against its closed form from the weight's analytic log-derivatives."""
+    space = ctx.space
+    x = space.nodes
+    with np.errstate(divide="ignore"):
+        log_w = space.weight_log_derivative(x)
+        log_w_prime = space.weight_log_derivative_prime(x)
+    f = ScalarField(np.cos(x), space)
+    fp, fpp = -np.sin(x), -np.cos(x)
+    if operator == "laplacian":
+        diff = laplacian(space, f).values - (fpp + log_w * fp)
+    else:
+        diff = gamma2(space, f).values - (fpp**2 - log_w_prime * fp**2)
+    err = float(np.max(np.abs(diff)[space.interior_mask()]))
+    return [make_report(f"{operator}-oracle-error", iq._base_params(space), -err, tol,
+                        notes="margin is minus the interior sup error against the analytic value")]
+
+
+def _laplacian_oracle_error(ctx, tol):
+    return _oracle_error(ctx, tol, "laplacian")
+
+
+def _gamma2_oracle_error(ctx, tol):
+    return _oracle_error(ctx, tol, "gamma2")
+
+
+#: check name -> adapter, named after the adapter; its signature is the check's schema.
+CHECKS = {adapter.__name__[1:]: adapter for adapter in (
+    _li_yau, _bakry_qian, _baudoin_garofalo, _harnack, _harnack_scan, _harnack_transport,
+    _be_flow, _eks, _bochner, _phi_derivative, _prop2, _pre_li_yau, _cd_star,
+    _kernel_corollary, _laplacian_oracle_error, _gamma2_oracle_error)}
 
 
 # ---------------------------------------------------------------------------
 # scenario schema
 
-#: check name -> {param: (types, required)}; "field" handled separately.
-CHECK_SPECS = {
-    "li_yau": {"T": (_NUM, True), "N": (_NUM, False)},
-    "bakry_qian": {"T": (_NUM, True), "K": (_NUM, False), "N": (_NUM, False)},
-    "baudoin_garofalo": {"T": (_NUM, True), "K": (_NUM, False), "N": (_NUM, False)},
-    "harnack": {
-        "x": (int, True), "y": (int, True), "s": (_NUM, True), "t": (_NUM, True),
-        "K": (_NUM, False), "N": (_NUM, False),
-    },
-    "harnack_scan": {
-        "xs": (list, True), "ys": (list, True), "pairs": (list, True),
-        "K": (_NUM, False), "N": (_NUM, False),
-    },
-    "harnack_transport": {
-        "x": (int, True), "y": (int, True), "s": (_NUM, True), "t": (_NUM, True),
-        "r_steps": (_NUM, False), "K": (_NUM, False), "N": (_NUM, False),
-    },
-    "be_flow": {"t": (_NUM, True), "K": (_NUM, False), "N": (_NUM, False)},
-    "eks": {"t": (_NUM, True), "K": (_NUM, False), "N": (_NUM, False)},
-    "bochner": {"K": (_NUM, False), "N": (_NUM, False)},
-    "phi_derivative": {"T": (_NUM, True), "t": (_NUM, True), "dt": (_NUM, True)},
-    "prop2": {
-        "T": (_NUM, True), "times": (list, True), "dt": (_NUM, False),
-        "K": (_NUM, False), "N": (_NUM, False),
-    },
-    "pre_li_yau": {
-        "T": (_NUM, True), "profile": (str, True), "K": (_NUM, False), "N": (_NUM, False),
-    },
-    "cd_star": {
-        "t": (_NUM, True), "n_prime": (_NUM, True),
-        "mu0_field": (str, True), "mu1_field": (str, True),
-        "K": (_NUM, False), "N": (_NUM, False),
-    },
-    "kernel_corollary": {
-        "x": (int, True), "times": (list, True), "K": (_NUM, False), "N": (_NUM, False),
-    },
-    "laplacian_oracle_error": {},
-    "gamma2_oracle_error": {},
-}
+def _scenario_params(fn) -> dict[str, inspect.Parameter]:
+    """The parameters of ``fn`` a scenario sets: those annotated with a JSON type."""
+    return {name: p for name, p in inspect.signature(fn, eval_str=True).parameters.items()
+            if (typing.get_origin(p.annotation) or p.annotation) in (float, int, str, list, tuple)}
 
-_FIELD_FREE_CHECKS = {
-    "kernel_corollary", "laplacian_oracle_error", "gamma2_oracle_error", "cd_star",
-}
+
+def _conforms(value, annotation) -> bool:
+    """Whether a parsed JSON value has the annotated type; a tuple is a fixed-length
+    list, a bool is never a number and a float is finite (and fits a double)."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is list:
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    if origin is tuple:
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(map(_conforms, value, args)))
+    if isinstance(value, bool):
+        return False
+    if annotation is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, annotation)
+
+
+def _check_params(fail, where: str, fn, params, supplied=()) -> None:
+    """Validate ``params`` against ``fn``'s scenario parameters; ``supplied`` ones may be absent."""
+    if not isinstance(params, dict):
+        fail(where, "expected an object")
+    spec = _scenario_params(fn)
+    unknown = set(params) - set(spec)
+    if unknown:
+        fail(where, f"unknown parameters {sorted(unknown)}")
+    for name, p in spec.items():
+        if name in params:
+            if not _conforms(params[name], p.annotation):
+                fail(f"{where}.{name}",
+                     f"expected {inspect.formatannotation(p.annotation)}, got {params[name]!r}")
+        elif p.default is p.empty and name not in supplied:
+            fail(where, f"missing required parameter {name!r}")
 
 
 @dataclass
@@ -128,21 +253,21 @@ class Scenario:
         if not isinstance(raw, dict):
             fail("top level", "expected a JSON object")
         model = raw.get("model")
-        if not isinstance(model, dict) or "name" not in model:
+        if not isinstance(model, dict) or not isinstance(model.get("name"), str):
             fail("model", 'expected {"name": ..., "params": {...}}')
         name = model["name"]
         if name not in MODEL_BUILDERS:
             fail("model.name", f"unknown model {name!r}; known: {sorted(MODEL_BUILDERS)}")
         params = model.get("params", {})
-        if not isinstance(params, dict):
-            fail("model.params", "expected an object")
+        _check_params(fail, "model.params", MODEL_BUILDERS[name], params)
 
         fields = raw.get("fields", [])
         if not isinstance(fields, list):
             fail("fields", "expected a list")
         seen_ids = set()
         for k, f in enumerate(fields):
-            if not isinstance(f, dict) or "id" not in f or "profile" not in f:
+            if not (isinstance(f, dict) and isinstance(f.get("id"), str)
+                    and isinstance(f.get("profile"), str)):
                 fail(f"fields[{k}]", 'expected {"id": ..., "profile": ..., "params": {...}}')
             if f["profile"] not in FIELD_PROFILES:
                 fail(f"fields[{k}].profile",
@@ -150,47 +275,35 @@ class Scenario:
             if f["id"] in seen_ids:
                 fail(f"fields[{k}].id", f"duplicate field id {f['id']!r}")
             seen_ids.add(f["id"])
+            _check_params(fail, f"fields[{k}].params", FIELD_PROFILES[f["profile"]],
+                          f.get("params", {}), supplied=("seed",))
 
         checks = raw.get("checks", [])
         if not isinstance(checks, list) or not checks:
             fail("checks", "expected a non-empty list")
         for k, c in enumerate(checks):
-            if not isinstance(c, dict) or "name" not in c:
+            if not isinstance(c, dict) or not isinstance(c.get("name"), str):
                 fail(f"checks[{k}]", 'expected {"name": ..., "params": {...}}')
             cname = c["name"]
-            if cname not in CHECK_SPECS:
-                fail(f"checks[{k}].name",
-                     f"unknown check {cname!r}; known: {sorted(CHECK_SPECS)}")
+            if cname not in CHECKS:
+                fail(f"checks[{k}].name", f"unknown check {cname!r}; known: {sorted(CHECKS)}")
             tol = c.get("tolerance", 1e-6)
-            if not isinstance(tol, _NUM) or tol <= 0:
+            if not _conforms(tol, float) or tol <= 0:
                 fail(f"checks[{k}].tolerance", f"tolerance must be > 0, got {tol!r}")
-            spec = CHECK_SPECS[cname]
             cparams = c.get("params", {})
-            if not isinstance(cparams, dict):
-                fail(f"checks[{k}].params", "expected an object")
-            for pname, (ptype, required) in spec.items():
-                if pname not in cparams:
-                    if required:
-                        fail(f"checks[{k}].params", f"missing required parameter {pname!r}")
-                    continue
-                if not isinstance(cparams[pname], ptype) or isinstance(cparams[pname], bool):
-                    fail(f"checks[{k}].params.{pname}",
-                         f"expected {ptype}, got {cparams[pname]!r}")
-            unknown = set(cparams) - set(spec)
-            if unknown:
-                fail(f"checks[{k}].params", f"unknown parameters {sorted(unknown)}")
-            needs_field = cname not in _FIELD_FREE_CHECKS
-            if needs_field and c.get("field") not in seen_ids:
+            _check_params(fail, f"checks[{k}].params", CHECKS[cname], cparams)
+            if "f" not in inspect.signature(CHECKS[cname]).parameters:
+                if "field" in c:
+                    fail(f"checks[{k}].field", f"check {cname!r} takes no 'field'")
+            elif not (isinstance(c.get("field"), str) and c["field"] in seen_ids):
                 fail(f"checks[{k}].field",
                      f"check {cname!r} needs a 'field' naming one of {sorted(seen_ids)}")
-            if cname == "cd_star":
-                for key in ("mu0_field", "mu1_field"):
-                    if cparams[key] not in seen_ids:
-                        fail(f"checks[{k}].params.{key}",
-                             f"must name one of {sorted(seen_ids)}")
+            for key in ("mu0_field", "mu1_field"):
+                if key in cparams and cparams[key] not in seen_ids:
+                    fail(f"checks[{k}].params.{key}", f"must name one of {sorted(seen_ids)}")
 
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int):
+        if not _conforms(seed, int):
             fail("seed", f"expected an integer, got {seed!r}")
         sweep = raw.get("sweep", {})
         if not isinstance(sweep, dict):
@@ -217,7 +330,6 @@ class _Context:
         if n_override is not None:
             params["n"] = n_override
         self.space = MODEL_BUILDERS[scenario.model_name](**params)
-        self.seed = scenario.seed
         self._solver = None
         self.fields: dict[str, list[ScalarField]] = {}
         for k, spec in enumerate(scenario.fields):
@@ -232,136 +344,11 @@ class _Context:
             self._solver = build_solver(self.space)
         return self._solver
 
-    def cd(self, params: dict) -> CurvatureDimension:
+    def cd(self, K: float | None = None, N: float | None = None) -> CurvatureDimension:
+        """The model's expected (K, N), with either one overridden."""
         base = self.space.expected_cd
-        return CurvatureDimension(
-            float(params.get("K", base.K)), float(params.get("N", base.N))
-        )
-
-
-def _oracle_derivatives(space):
-    """Analytic first/second derivative data of f = cos(x) on this model."""
-    x = space.nodes
-    with np.errstate(divide="ignore"):
-        log_w = space.weight_log_derivative(x)
-        log_w_prime = space.weight_log_derivative_prime(x)
-    f = np.cos(x)
-    fp = -np.sin(x)
-    fpp = -np.cos(x)
-    lap = fpp + log_w * fp
-    g2 = fpp**2 - log_w_prime * fp**2
-    return f, lap, g2
-
-
-def _run_single_check(ctx: _Context, check: dict, f: ScalarField | None,
-                      tolerance: float) -> list[InequalityReport]:
-    name = check["name"]
-    p = check.get("params", {})
-    space = ctx.space
-    if name == "li_yau":
-        n_dim = float(p.get("N", ctx.cd(p).N))
-        return [iq.li_yau_check(ctx.solver, f, float(p["T"]), n_dim, tolerance=tolerance)]
-    if name == "bakry_qian":
-        return [iq.bakry_qian_check(ctx.solver, f, float(p["T"]), ctx.cd(p), tolerance=tolerance)]
-    if name == "baudoin_garofalo":
-        return [iq.baudoin_garofalo_check(ctx.solver, f, float(p["T"]), ctx.cd(p),
-                                          tolerance=tolerance)]
-    if name == "harnack":
-        return [iq.harnack_check(ctx.solver, f, p["x"], p["y"], float(p["s"]), float(p["t"]),
-                                 ctx.cd(p), tolerance=tolerance)]
-    if name == "harnack_scan":
-        pairs = [(float(s), float(t)) for s, t in p["pairs"]]
-        return [iq.harnack_scan(ctx.solver, f, p["xs"], p["ys"], pairs, ctx.cd(p),
-                                tolerance=tolerance)]
-    if name == "harnack_transport":
-        r = float(p.get("r_steps", 2)) * space.spacing
-        return [tr.harnack_transport_check(ctx.solver, f, p["x"], p["y"], float(p["s"]),
-                                           float(p["t"]), ctx.cd(p), r, tolerance=tolerance)]
-    if name == "be_flow":
-        return [iq.be_flow_check(ctx.solver, f, float(p["t"]), ctx.cd(p), tolerance=tolerance)]
-    if name == "eks":
-        return [iq.eks_check(ctx.solver, f, float(p["t"]), ctx.cd(p), tolerance=tolerance)]
-    if name == "bochner":
-        cd = ctx.cd(p)
-        margin = bochner_margin(space, f, cd)
-        interior = margin.values[space.interior_mask()]
-        return [make_report(
-            name="bochner",
-            params={"model": space.model_id, "n": space.n_nodes, "h": space.spacing,
-                    "K": cd.K, "N": cd.N},
-            min_margin=float(interior.min()),
-            tolerance=tolerance,
-            margin_field=margin,
-        )]
-    if name == "phi_derivative":
-        defect = iq.phi_derivative_check(ctx.solver, f, float(p["T"]), float(p["t"]),
-                                         ScalarField(np.ones(space.n_nodes), space),
-                                         float(p["dt"]))
-        return [make_report(
-            name="phi-derivative",
-            params={"model": space.model_id, "n": space.n_nodes, "h": space.spacing,
-                    "T": p["T"], "t": p["t"], "dt": p["dt"]},
-            min_margin=-defect,
-            tolerance=tolerance,
-            notes="margin is minus the derivative-identity defect",
-        )]
-    if name == "prop2":
-        cd = ctx.cd(p)
-        a, a_prime = iq.quadratic_decay_profile(float(p["T"]))
-        gamma_fn = iq.gamma_for_profile(a, a_prime, cd)
-        phi_test = ScalarField(np.ones(space.n_nodes), space)
-        return [iq.prop2_check(ctx.solver, f, float(p["T"]), a, a_prime, gamma_fn, phi_test,
-                               [float(t) for t in p["times"]], cd,
-                               dt=float(p.get("dt", 1e-3)), tolerance=tolerance)]
-    if name == "pre_li_yau":
-        cd = ctx.cd(p)
-        profile_name = p["profile"]
-        if profile_name not in iq.V_PROFILES:
-            raise ScenarioError(
-                f"unknown V-profile {profile_name!r}; known: {sorted(iq.V_PROFILES)}"
-            )
-        profile = iq.V_PROFILES[profile_name](float(p["T"]), cd)
-        return [iq.pre_li_yau_check(ctx.solver, f, float(p["T"]), profile, cd,
-                                    tolerance=tolerance)]
-    if name == "cd_star":
-        cd = ctx.cd(p)
-        mu0 = measure_from_density(space, ctx.fields[p["mu0_field"]][0].values)
-        mu1 = measure_from_density(space, ctx.fields[p["mu1_field"]][0].values)
-        defect = tr.cd_star_check(space, mu0, mu1, float(p["t"]), cd, float(p["n_prime"]))
-        vacuous = math.isinf(defect)
-        return [make_report(
-            name="cd-star",
-            params={"model": space.model_id, "n": space.n_nodes, "h": space.spacing,
-                    "K": cd.K, "N": cd.N, "n_prime": p["n_prime"], "t": p["t"]},
-            min_margin=0.0 if vacuous else defect,
-            tolerance=tolerance,
-            vacuous=vacuous,
-            notes="vacuous distortion branch (infinite coefficient)" if vacuous else "",
-        )]
-    if name == "kernel_corollary":
-        return iq.kernel_corollary_suite(ctx.solver, p["x"], ctx.cd(p),
-                                         [float(t) for t in p["times"]], tolerance=tolerance)
-    if name == "laplacian_oracle_error":
-        f_exact, lap_exact, _ = _oracle_derivatives(space)
-        lap = laplacian(space, ScalarField(f_exact, space)).values
-        err = float(np.max(np.abs(lap - lap_exact)[space.interior_mask()]))
-        return [make_report(
-            name="laplacian-oracle-error",
-            params={"model": space.model_id, "n": space.n_nodes, "h": space.spacing},
-            min_margin=-err, tolerance=tolerance,
-            notes="margin is minus the interior sup error against the analytic value",
-        )]
-    if name == "gamma2_oracle_error":
-        f_exact, _, g2_exact = _oracle_derivatives(space)
-        g2 = gamma2(space, ScalarField(f_exact, space)).values
-        err = float(np.max(np.abs(g2 - g2_exact)[space.interior_mask()]))
-        return [make_report(
-            name="gamma2-oracle-error",
-            params={"model": space.model_id, "n": space.n_nodes, "h": space.spacing},
-            min_margin=-err, tolerance=tolerance,
-            notes="margin is minus the interior sup error against the analytic value",
-        )]
-    raise ScenarioError(f"unknown check {name!r}")  # pragma: no cover - validated earlier
+        return CurvatureDimension(float(base.K if K is None else K),
+                                  float(base.N if N is None else N))
 
 
 def _run_check(ctx: _Context, check: dict, tolerance_scale: float) -> list[InequalityReport]:
@@ -371,8 +358,9 @@ def _run_check(ctx: _Context, check: dict, tolerance_scale: float) -> list[Inequ
     members = ctx.fields[field_id] if field_id is not None else [None]
     out: list[InequalityReport] = []
     for idx, f in enumerate(members):
+        args = (ctx, tolerance) if f is None else (ctx, f, tolerance)
         try:
-            reports = _run_single_check(ctx, check, f, tolerance)
+            reports = CHECKS[name](*args, **check.get("params", {}))
         except HeatlabError as exc:
             reports = [InequalityReport(
                 name=name.replace("_", "-"),
@@ -491,7 +479,8 @@ def sweep_scenario(scenario: Scenario, levels: int, out_dir,
 
 def list_models_text() -> str:
     lines = ["available model constructors:"]
-    for name, params, cd in MODEL_CATALOG:
+    for name, cd in MODEL_CATALOG.items():
+        params = ", ".join(_scenario_params(MODEL_BUILDERS[name]))
         lines.append(f"  {name:<18} params: {params:<22} expected (K, N): {cd}")
     return "\n".join(lines)
 
@@ -534,7 +523,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return run_scenario(scenario, args.out_dir, args.tolerance_scale)
         return sweep_scenario(scenario, args.levels, args.out_dir, args.tolerance_scale)
-    except ScenarioError as exc:
+    except HeatlabError as exc:  # checks catch their own; these come from parsing or building
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
 

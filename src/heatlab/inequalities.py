@@ -12,11 +12,10 @@ min f >= 1e-6 * sup|f| outright.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate as _integrate
 
 from .calculus import (
     ScalarField,
@@ -24,6 +23,7 @@ from .calculus import (
     _same_space,
     carre_du_champ,
     gamma2,
+    interior_min,
     log_field,
 )
 from .errors import DomainError, InvalidParameterError, InvalidProfileError, PreconditionError
@@ -61,10 +61,6 @@ def _require_phi_floor(f: ScalarField, who: str) -> None:
 def _regularized(f: ScalarField) -> ScalarField:
     eps = _epsilon_for(f.values)
     return ScalarField(f.values + eps, f.space)
-
-
-def _interior_min(space: ModelSpace, values: np.ndarray) -> float:
-    return float(values[space.interior_mask(INTERIOR_STEPS)].min())
 
 
 def _boundary_min(space: ModelSpace, values: np.ndarray) -> float | None:
@@ -110,29 +106,20 @@ def li_yau_check(
 
     The margin field is the pointwise slack; the log form
     Gamma(H_T f)/(H_T f)^2 - (L H_T f)/(H_T f) <= N/(2T) is recorded in the
-    extras.
+    extras.  This is baudoin_garofalo_check at K = 0, where bg_bound gives
+    exactly (1, N/2T), so the margins agree bit for bit.
     """
     _same_space(solver.space, f)
     _require_nonnegative(f, "li_yau_check")
     if T <= 0:
         raise DomainError(f"li_yau_check needs T > 0, got {T}")
-    space = solver.space
-    u = heat_apply(solver, _regularized(f), T).values
-    lap_u = _laplacian_values(space, u)
-    gamma_u = carre_du_champ(space, ScalarField(u, space)).values
-    margin = (N / (2.0 * T)) * u * u + lap_u * u - gamma_u
-    log_margin = N / (2.0 * T) + lap_u / u - gamma_u / (u * u)
-    return make_report(
+    rep = baudoin_garofalo_check(solver, f, T, CurvatureDimension(0.0, N), tolerance)
+    return replace(
+        rep,
         name="li-yau",
-        params=_base_params(space, T=T, N=N),
-        min_margin=_interior_min(space, margin),
-        tolerance=tolerance,
-        margin_field=ScalarField(margin, space),
-        notes=_boundary_note(space, margin),
-        extras={
-            "bound_constant": N / (2.0 * T),
-            "log_form_min_margin": _interior_min(space, log_margin),
-        },
+        params=_base_params(solver.space, T=T, N=N),
+        extras={"bound_constant": rep.extras["c2"],
+                "log_form_min_margin": rep.extras["log_form_min_margin"]},
     )
 
 
@@ -168,7 +155,7 @@ def bakry_qian_check(
     return make_report(
         name="bakry-qian",
         params=_base_params(space, cd, T=T),
-        min_margin=_interior_min(space, margin),
+        min_margin=interior_min(space, margin),
         tolerance=tolerance,
         margin_field=ScalarField(margin, space),
         notes=notes,
@@ -223,22 +210,28 @@ def baudoin_garofalo_check(
     return make_report(
         name="baudoin-garofalo",
         params=_base_params(space, cd, T=T),
-        min_margin=_interior_min(space, margin),
+        min_margin=interior_min(space, margin),
         tolerance=tolerance,
         margin_field=ScalarField(margin, space),
         notes=_boundary_note(space, margin),
         extras={
             "c1": c1,
             "c2": c2,
-            "log_form_min_margin": _interior_min(space, log_margin),
+            "log_form_min_margin": interior_min(space, log_margin),
         },
     )
 
 
+def _harnack_constants(s: float, t: float, K: float) -> tuple[float, float, float]:
+    """(e^{2Ks/3}, or e^{2Kt/3} when K < 0;  s E(2Ks/3);  t E(2Kt/3)) with E = expm1_ratio."""
+    return (math.exp(2.0 * K * (s if K >= 0 else t) / 3.0),
+            s * expm1_ratio(2.0 * K * s / 3.0), t * expm1_ratio(2.0 * K * t / 3.0))
+
+
 def harnack_prefactor(s: float, t: float, cd: CurvatureDimension) -> float:
     """((1 - e^{2Ks/3}) / (1 - e^{2Kt/3}))^{N/2}, K -> 0 limit (s/t)^{N/2}."""
-    ratio = (s * expm1_ratio(2.0 * cd.K * s / 3.0)) / (t * expm1_ratio(2.0 * cd.K * t / 3.0))
-    return ratio ** (cd.N / 2.0)
+    _, s_term, t_term = _harnack_constants(s, t, cd.K)
+    return (s_term / t_term) ** (cd.N / 2.0)
 
 
 def harnack_check(
@@ -268,7 +261,7 @@ def harnack_check(
     u_s = heat_apply(solver, fe, s).values
     u_t = heat_apply(solver, fe, t).values
     d = space.distance(x, y)
-    denom_exp = math.exp(2.0 * cd.K * (s if cd.K >= 0 else t) / 3.0)
+    denom_exp = _harnack_constants(s, t, cd.K)[0]
     rhs = u_s[x] * math.exp(-d * d / (4.0 * (t - s) * denom_exp)) * harnack_prefactor(s, t, cd)
     margin = float(u_t[y] - rhs)
     return make_report(
@@ -315,6 +308,16 @@ def harnack_scan(
     )
 
 
+def _flowed_gradient(solver: SpectralSolver, f: ScalarField, t: float,
+                     who: str) -> tuple[np.ndarray, ScalarField]:
+    """(H_t Gamma(f) values, H_t f) for the semigroup gradient bounds."""
+    _same_space(solver.space, f)
+    if t <= 0:
+        raise DomainError(f"{who} needs t > 0, got {t}")
+    flowed = heat_apply(solver, carre_du_champ(solver.space, f), t).values
+    return flowed, heat_apply(solver, f, t)
+
+
 def be_flow_check(
     solver: SpectralSolver,
     f: ScalarField,
@@ -323,19 +326,14 @@ def be_flow_check(
     tolerance: float = 1e-6,
 ) -> InequalityReport:
     """Semigroup gradient commutation bound:  Gamma(H_t f) <= e^{-2Kt} H_t(Gamma(f))."""
-    _same_space(solver.space, f)
-    if t <= 0:
-        raise DomainError(f"be_flow_check needs t > 0, got {t}")
+    flowed, u = _flowed_gradient(solver, f, t, "be_flow_check")
     space = solver.space
-    gamma_f = carre_du_champ(space, f)
-    flowed = heat_apply(solver, gamma_f, t).values
-    u = heat_apply(solver, f, t)
     gamma_u = carre_du_champ(space, u).values
     margin = math.exp(-2.0 * cd.K * t) * flowed - gamma_u
     return make_report(
         name="be-flow",
         params=_base_params(space, cd, t=t),
-        min_margin=_interior_min(space, margin),
+        min_margin=interior_min(space, margin),
         tolerance=tolerance,
         margin_field=ScalarField(margin, space),
         notes=_boundary_note(space, margin),
@@ -358,13 +356,8 @@ def eks_check(
 
         Gamma(H_t f) + (4Kt^2 / (N(e^{2Kt}-1))) (L H_t f)^2 <= e^{-2Kt} H_t(Gamma(f)).
     """
-    _same_space(solver.space, f)
-    if t <= 0:
-        raise DomainError(f"eks_check needs t > 0, got {t}")
+    flowed, u = _flowed_gradient(solver, f, t, "eks_check")
     space = solver.space
-    gamma_f = carre_du_champ(space, f)
-    flowed = heat_apply(solver, gamma_f, t).values
-    u = heat_apply(solver, f, t)
     gamma_u = carre_du_champ(space, u).values
     lap_u = _laplacian_values(space, u.values)
     coeff = eks_coefficient(t, cd)
@@ -372,7 +365,7 @@ def eks_check(
     return make_report(
         name="eks",
         params=_base_params(space, cd, t=t),
-        min_margin=_interior_min(space, margin),
+        min_margin=interior_min(space, margin),
         tolerance=tolerance,
         margin_field=ScalarField(margin, space),
         notes=_boundary_note(space, margin),
@@ -428,9 +421,9 @@ def phi_derivative_check(
     _same_space(solver.space, f, phi_test)
     if np.any(phi_test.values < 0):
         raise PreconditionError("phi_derivative_check needs a nonnegative test field")
-    if not (0.0 < t - dt and t + dt < T):
+    if not (dt > 0 and 0.0 < t - dt and t + dt < T):
         raise DomainError(
-            f"central-difference stencil [t-dt, t+dt] must stay inside (0, T); "
+            f"central-difference stencil [t-dt, t+dt] needs dt > 0 and must stay inside (0, T); "
             f"got t={t}, dt={dt}, T={T}"
         )
     space = solver.space
@@ -496,14 +489,16 @@ def prop2_check(
     _require_phi_floor(f, "prop2_check")
     if np.any(phi_test.values < 0):
         raise PreconditionError("prop2_check needs a nonnegative test field")
+    if len(time_grid) == 0:
+        raise InvalidParameterError("prop2_check needs a non-empty time grid")
     space = solver.space
     u_T = heat_apply(solver, f, T).values
     lap_u_T = _laplacian_values(space, u_T)
     m = space.measure
     margins = []
     for t in time_grid:
-        if not (0.0 < t - dt and t + dt < T):
-            raise DomainError(f"time grid entry {t} +- {dt} leaves (0, {T})")
+        if not (dt > 0 and 0.0 < t - dt and t + dt < T):
+            raise DomainError(f"time grid entry {t} +- {dt} needs dt > 0 inside (0, {T})")
         g_plus = a(t + dt) * _phi_pairing(solver, f, T, t + dt, phi_test)
         g_minus = a(t - dt) * _phi_pairing(solver, f, T, t - dt, phi_test)
         lhs = (g_plus - g_minus) / (2.0 * dt)
@@ -528,18 +523,27 @@ def prop2_check(
 # V-profiles and the integrated pre-bound
 
 
+def _require_horizon(T: float) -> None:
+    if T <= 0:
+        raise InvalidProfileError(f"profile horizon must be positive, got {T}")
+
+
 @dataclass(frozen=True, eq=False)
 class VProfile:
-    """C^1 decay profile on [0, T] with V(0) = 1, V(T) = 0, V >= 0."""
+    """C^1 decay profile on [0, T] with V(0) = 1, V(T) = 0, V >= 0.
+
+    ``iv2`` and ``ivp2`` are the integrals of V^2 and V'^2 over [0, T].
+    """
 
     name: str
     T: float
     v: Callable[[float], float]
     v_prime: Callable[[float], float]
+    iv2: float
+    ivp2: float
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise InvalidProfileError(f"profile horizon must be positive, got {self.T}")
+        _require_horizon(self.T)
         if abs(self.v(0.0) - 1.0) > 1e-9 or abs(self.v(self.T)) > 1e-9:
             raise InvalidProfileError(
                 f"profile {self.name!r} must satisfy V(0)=1 and V(T)=0, got "
@@ -549,18 +553,12 @@ class VProfile:
         if min(self.v(float(t)) for t in sample) < -1e-12:
             raise InvalidProfileError(f"profile {self.name!r} must be nonnegative on [0, T]")
 
-    def integrals(self) -> tuple[float, float]:
-        """(int_0^T V^2, int_0^T V'^2) by adaptive quadrature (abs tol 1e-10)."""
-        iv2, _ = _integrate.quad(lambda t: self.v(t) ** 2, 0.0, self.T,
-                                 epsabs=1e-12, epsrel=1e-12, limit=200)
-        ivp2, _ = _integrate.quad(lambda t: self.v_prime(t) ** 2, 0.0, self.T,
-                                  epsabs=1e-12, epsrel=1e-12, limit=200)
-        return float(iv2), float(ivp2)
-
 
 def v_linear(T: float) -> VProfile:
     """V(t) = 1 - t/T: minimizes int V'^2 among admissible profiles."""
-    return VProfile(name="v_linear", T=T, v=lambda t: 1.0 - t / T, v_prime=lambda t: -1.0 / T)
+    _require_horizon(T)
+    return VProfile(name="v_linear", T=T, v=lambda t: 1.0 - t / T, v_prime=lambda t: -1.0 / T,
+                    iv2=T / 3.0, ivp2=1.0 / T)
 
 
 def v_bg(T: float, K: float) -> VProfile:
@@ -569,10 +567,16 @@ def v_bg(T: float, K: float) -> VProfile:
         V(t) = e^{-Kt/3} (e^{-2Kt/3} - e^{-2KT/3}) / (1 - e^{-2KT/3}),
 
     whose coefficients reproduce the curvature-corrected gradient bound; it
-    degenerates to v_linear as K -> 0.
+    degenerates to v_linear as K -> 0.  Its integrals are in closed form:
+
+        int V^2 = (1 - e^{-2KT/3}) / 2K,
+        int V'^2 = e^{-4KT/3} u / (T (1 - e^{-u})) + K - K^2 int V^2,  u = 2KT/3,
+
+    the values for which the pre-bound coefficients equal bg_bound.
     """
     if K == 0.0:
-        return VProfile(name="v_bg", T=T, v=lambda t: 1.0 - t / T, v_prime=lambda t: -1.0 / T)
+        return replace(v_linear(T), name="v_bg")
+    _require_horizon(T)
     b = math.exp(-2.0 * K * T / 3.0)
     c = -math.expm1(-2.0 * K * T / 3.0)  # 1 - b, computed without cancellation
 
@@ -582,7 +586,10 @@ def v_bg(T: float, K: float) -> VProfile:
     def v_prime(t: float) -> float:
         return (K / c) * (-math.exp(-K * t) + (b / 3.0) * math.exp(-K * t / 3.0))
 
-    return VProfile(name="v_bg", T=T, v=v, v_prime=v_prime)
+    iv2 = c / (2.0 * K)
+    ivp2 = math.exp(-4.0 * K * T / 3.0) * inv_one_minus_exp_neg(2.0 * K * T / 3.0) / T
+    return VProfile(name="v_bg", T=T, v=v, v_prime=v_prime,
+                    iv2=iv2, ivp2=ivp2 + K - K * K * iv2)
 
 
 V_PROFILES = {"v_linear": lambda T, cd: v_linear(T), "v_bg": lambda T, cd: v_bg(T, cd.K)}
@@ -593,7 +600,7 @@ def pre_li_yau_coefficients(profile: VProfile, cd: CurvatureDimension) -> tuple[
 
         (1 - 2K int V^2,  (N/2)(int V'^2 - K + K^2 int V^2)).
     """
-    iv2, ivp2 = profile.integrals()
+    iv2, ivp2 = profile.iv2, profile.ivp2
     return 1.0 - 2.0 * cd.K * iv2, 0.5 * cd.N * (ivp2 - cd.K + cd.K * cd.K * iv2)
 
 
@@ -630,7 +637,7 @@ def pre_li_yau_check(
     return make_report(
         name="pre-li-yau",
         params=_base_params(space, cd, T=T, profile=profile.name),
-        min_margin=_interior_min(space, margin),
+        min_margin=interior_min(space, margin),
         tolerance=tolerance,
         margin_field=ScalarField(margin, space),
         notes=_boundary_note(space, margin),

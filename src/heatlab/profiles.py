@@ -41,7 +41,7 @@ def gaussian_bump_profile(
     return ScalarField(values, space)
 
 
-def tabulated_profile(space: ModelSpace, values) -> ScalarField:
+def tabulated_profile(space: ModelSpace, values: list[float]) -> ScalarField:
     return ScalarField(np.asarray(values, dtype=float), space)
 
 
@@ -90,21 +90,21 @@ def smooth_nonnegative_suite(
     return fields
 
 
+#: Profiles addressable by name from scenario files; their arguments after ``space`` are params.
+FIELD_PROFILES = {
+    "constant": constant_profile,
+    "cosine": cosine_profile,
+    "gaussian_bump": gaussian_bump_profile,
+    "tabulated": tabulated_profile,
+    "smooth_suite": smooth_nonnegative_suite,
+}
+
+
 def build_fields(space: ModelSpace, profile: str, params: dict, seed: int) -> list[ScalarField]:
-    """Instantiate a named profile; suites may expand to several fields."""
-    params = dict(params)
-    if profile == "constant":
-        return [constant_profile(space, **params)]
-    if profile == "cosine":
-        return [cosine_profile(space, **params)]
-    if profile == "gaussian_bump":
-        return [gaussian_bump_profile(space, **params)]
-    if profile == "tabulated":
-        return [tabulated_profile(space, **params)]
+    """Instantiate a named profile; suites expand to several fields, seeded by
+    ``seed`` unless ``params`` sets one."""
+    if profile not in FIELD_PROFILES:
+        raise InvalidParameterError(f"unknown field profile {profile!r}")
     if profile == "smooth_suite":
-        params.setdefault("seed", seed)
-        return smooth_nonnegative_suite(space, **params)
-    raise InvalidParameterError(f"unknown field profile {profile!r}")
-
-
-FIELD_PROFILES = ("constant", "cosine", "gaussian_bump", "tabulated", "smooth_suite")
+        return smooth_nonnegative_suite(space, **{"seed": seed, **params})
+    return [FIELD_PROFILES[profile](space, **params)]

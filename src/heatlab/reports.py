@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -70,18 +70,7 @@ def _plain(obj):
 
 def amend(report: InequalityReport, name: str | None = None, **extra_params) -> InequalityReport:
     """Copy a report under a new name and/or with extra parameter entries."""
-    params = dict(report.params)
-    params.update(extra_params)
-    return InequalityReport(
-        name=name or report.name,
-        params=params,
-        min_margin=report.min_margin,
-        tolerance=report.tolerance,
-        verdict=report.verdict,
-        margin_field=report.margin_field,
-        notes=report.notes,
-        extras=report.extras,
-    )
+    return replace(report, name=name or report.name, params={**report.params, **extra_params})
 
 
 def make_report(

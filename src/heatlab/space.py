@@ -329,9 +329,9 @@ MODEL_BUILDERS: dict[str, Callable[..., ModelSpace]] = {
 }
 
 #: Expected curvature-dimension metadata per constructor, as display strings.
-MODEL_CATALOG = (
-    ("interval", "n, length", "(0, 1)"),
-    ("circle", "n, circumference", "(0, 1)"),
-    ("sphere_model", "n, N", "(N-1, N)"),
-    ("hyperbolic_model", "n, N, radius", "(-(N-1), N)"),
-)
+MODEL_CATALOG = {
+    "interval": "(0, 1)",
+    "circle": "(0, 1)",
+    "sphere_model": "(N-1, N)",
+    "hyperbolic_model": "(-(N-1), N)",
+}

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize as _optimize
 
 from .calculus import ScalarField, _same_space
 from .errors import (
@@ -25,12 +24,11 @@ from .errors import (
     DomainError,
     InvalidParameterError,
     NumericalError,
-    PreconditionError,
 )
 from .heat import SpectralSolver, heat_apply
+from .inequalities import _epsilon_for, _harnack_constants, _require_nonnegative
 from .reports import InequalityReport, make_report
 from .space import CurvatureDimension, ModelSpace
-from .stable import expm1_ratio
 
 _LP_SUPPORT_LIMIT = 400
 
@@ -237,7 +235,7 @@ def w2_quantile(space: ModelSpace, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -
     lifted cost (see ``_optimal_shift``).  The plan's cost is priced by arc
     distance, which equals the lifted cost at the optimal shift.
     """
-    _check_measures(space, mu0, mu1)
+    _same_space(space, mu0, mu1)
     idx0, w0 = _support(mu0)
     idx1, w1 = _support(mu1)
     cum0, cum1 = _cumulative(w0), _cumulative(w1)
@@ -265,7 +263,8 @@ def w2_lp(space: ModelSpace, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> Tran
     Desk-scale oracle: refuses instances with total support above
     400 atoms (use w2_quantile for those).
     """
-    _check_measures(space, mu0, mu1)
+    from scipy import optimize
+    _same_space(space, mu0, mu1)
     idx0, w0 = _support(mu0)
     idx1, w1 = _support(mu1)
     p, q = len(idx0), len(idx1)
@@ -287,7 +286,7 @@ def w2_lp(space: ModelSpace, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -> Tran
     # HiGHS's default feasibility tolerance (1e-7) admits entries of -1e-7 that
     # undercut the optimal cost by 1e-10; an oracle needs its tightest one.
     tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
-    res = _optimize.linprog(cost_vec, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+    res = optimize.linprog(cost_vec, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs",
                             options=tight)
     if not res.success:  # pragma: no cover - transport polytopes are always feasible
         raise NumericalError(f"transport LP failed: {res.message}")
@@ -349,7 +348,7 @@ def displacement_interpolation(
     cell; off-node positions split linearly onto the bracketing nodes, and
     the t = 0, 1 slices reproduce the endpoints exactly.
     """
-    _check_measures(space, mu0, mu1)
+    _same_space(space, mu0, mu1)
     times = tuple(float(t) for t in times)
     if any(t < 0 or t > 1 for t in times):
         raise InvalidParameterError(f"interpolation times must lie in [0, 1], got {times}")
@@ -454,8 +453,7 @@ def harnack_transport_check(
     _same_space(space, f)
     if not 0 < s < t:
         raise DomainError(f"harnack_transport_check needs 0 < s < t, got s={s}, t={t}")
-    if np.any(f.values < 0):
-        raise PreconditionError("harnack_transport_check needs f >= 0")
+    _require_nonnegative(f, "harnack_transport_check")
     if r <= 0:
         raise InvalidParameterError(f"ball radius must be positive, got {r}")
     x, y = space.node_index(x), space.node_index(y)
@@ -473,15 +471,14 @@ def harnack_transport_check(
     mu1 = DiscreteMeasure(mu1_masses, space)
     plan = w2_quantile(space, mu0, mu1)
 
-    eps = 1e-12 * max(float(np.max(f.values)), 1.0)
+    eps = _epsilon_for(f.values)
     u_t = heat_apply(solver, f, t).values + eps
     u_s = heat_apply(solver, f, s).values + eps
     lhs = float(plan.masses @ np.log(u_s[plan.cols] / u_t[plan.rows]))
 
     K, N = cd.K, cd.N
-    denom_exp = math.exp(2.0 * K * (s if K >= 0 else t) / 3.0)
-    log_ratio = math.log((t * expm1_ratio(2.0 * K * t / 3.0)) / (s * expm1_ratio(2.0 * K * s / 3.0)))
-    rhs = plan.cost / (4.0 * (t - s) * denom_exp) + 0.5 * N * log_ratio
+    denom_exp, s_term, t_term = _harnack_constants(s, t, K)
+    rhs = plan.cost / (4.0 * (t - s) * denom_exp) + 0.5 * N * math.log(t_term / s_term)
     margin = rhs - lhs
     return make_report(
         name="harnack-transport",
@@ -493,15 +490,3 @@ def harnack_transport_check(
               "margin evaluated for the epsilon-regularized field",
     )
 
-
-def _check_measures(space: ModelSpace, *measures: DiscreteMeasure) -> None:
-    for mu in measures:
-        s = mu.space
-        if s is space:
-            continue
-        if (
-            s.topology != space.topology
-            or s.n_nodes != space.n_nodes
-            or not np.array_equal(s.nodes, space.nodes)
-        ):
-            raise DimensionMismatchError("measure does not live on the given space")

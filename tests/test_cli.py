@@ -3,9 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heatlab
 from heatlab.cli import Scenario, list_models_text, main, run_scenario
@@ -99,6 +102,124 @@ def test_validation_failures_exit_two(tmp_path, capsys, mutate, fragment):
     code = main(["run", str(path), "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert fragment in capsys.readouterr().err
+
+
+def _set_model_n(s, n):
+    s["model"]["params"]["n"] = n
+
+
+def _scan_params(s, **params):
+    s["checks"] = [{"name": "harnack_scan", "field": "f0", "tolerance": 1e-6,
+                    "params": {"xs": [0, 5], "ys": [5], "pairs": [[0.25, 0.75]], **params}}]
+
+
+def _kernel_times(s, times):
+    s["checks"] = [{"name": "kernel_corollary", "params": {"x": 5, "times": times}}]
+
+
+@pytest.mark.parametrize(
+    "mutate,fragment",
+    [
+        (lambda s: s["checks"][0].update(tolerance=True), "tolerance"),
+        (lambda s: _set_model_n(s, 2), "n >= 3"),
+        (lambda s: s["model"]["params"].update(radius=1.0), "unknown parameters"),
+        (lambda s: s["model"]["params"].pop("circumference"), "missing required"),
+        (lambda s: s["fields"][0]["params"].update(bogus=1.0), "unknown parameters"),
+        (lambda s: _scan_params(s, xs=[1.5, "a"]), "params.xs"),
+        (lambda s: _scan_params(s, pairs=[[0.1]]), "params.pairs"),
+        (lambda s: _kernel_times(s, ["x"]), "params.times"),
+        (lambda s: s.update(seed=True), "seed"),
+        (lambda s: s["checks"][0]["params"].update(T=math.nan), "params.T"),
+    ],
+    ids=["tolerance-bool", "n-2", "unknown-model-param", "missing-model-param",
+         "unknown-field-param", "xs-element-types", "pairs-element-length",
+         "times-element-type", "seed-bool", "T-nan"],
+)
+def test_bad_input_exits_two(tmp_path, capsys, mutate, fragment):
+    payload = basic_scenario()
+    mutate(payload)
+    path = write_scenario(tmp_path, payload)
+    code = main(["run", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert fragment in capsys.readouterr().err
+
+
+def _mutation_sites(node, path=()):
+    """Every (path, value) below the top level of a parsed scenario."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in children:
+        yield path + (key,), value
+        yield from _mutation_sites(value, path + (key,))
+
+
+def _small_scenario(check_names):
+    pool = {
+        "li_yau": {"name": "li_yau", "field": "f0", "params": {"T": 0.5, "N": 1.0}},
+        "harnack_scan": {"name": "harnack_scan", "field": "f0",
+                         "params": {"xs": [0, 10], "ys": [5], "pairs": [[0.25, 0.75]]}},
+        "phi_derivative": {"name": "phi_derivative", "field": "f0",
+                           "params": {"T": 1.0, "t": 0.5, "dt": 0.001}},
+        "prop2": {"name": "prop2", "field": "f0", "params": {"T": 1.0, "times": [0.5]}},
+        "pre_li_yau": {"name": "pre_li_yau", "field": "suite",
+                       "params": {"T": 0.5, "profile": "v_bg"}},
+        "cd_star": {"name": "cd_star", "params": {"t": 0.5, "n_prime": 2.0,
+                                                  "mu0_field": "f0", "mu1_field": "bump"}},
+        "kernel_corollary": {"name": "kernel_corollary", "params": {"x": 3, "times": [1.0]}},
+        "harnack_transport": {"name": "harnack_transport", "field": "bump",
+                              "params": {"x": 2, "y": 12, "s": 0.5, "t": 1.0}},
+    }
+    return {
+        "seed": 5,
+        "model": {"name": "circle", "params": {"n": 24, "circumference": TWO_PI}},
+        "fields": [
+            {"id": "f0", "profile": "cosine", "params": {"offset": 2.0}},
+            {"id": "suite", "profile": "smooth_suite", "params": {"count": 2}},
+            {"id": "bump", "profile": "gaussian_bump", "params": {"center": 1.0, "width": 0.5}},
+        ],
+        "checks": [dict(pool[name], tolerance=1e-3) for name in check_names],
+    }
+
+
+_CHECK_NAMES = ["li_yau", "harnack_scan", "phi_derivative", "prop2", "pre_li_yau", "cd_star",
+                "kernel_corollary", "harnack_transport"]
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    scenario = _small_scenario(draw(st.lists(st.sampled_from(_CHECK_NAMES), min_size=2,
+                                             max_size=3, unique=True)))
+    for _ in range(draw(st.integers(1, 3))):
+        sites = list(_mutation_sites(scenario))
+        path, value = draw(st.sampled_from(sites))
+        parent = scenario
+        for key in path[:-1]:
+            parent = parent[key]
+        kind = draw(st.sampled_from(["drop", "bool", "none", "string", "list", "zero",
+                                     "negative"]))
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind in ("zero", "negative") and isinstance(value, (int, float)):
+            parent[path[-1]] = 0 if kind == "zero" else -value
+        else:
+            parent[path[-1]] = {"bool": True, "none": None, "string": "x", "list": [],
+                                "zero": 0, "negative": -1}[kind]
+    return scenario
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mutated_scenarios())
+def test_mutated_scenarios_never_raise(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code = main(["run", str(path), "--out-dir", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+
+
+def test_unmutated_small_scenario_passes(tmp_path):
+    path = write_scenario(tmp_path, _small_scenario(_CHECK_NAMES))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
 
 
 def test_check_error_marks_report_and_exits_one(tmp_path):

@@ -454,7 +454,7 @@ def test_v_profiles_validate_endpoints():
     assert prof.v(0.0) == 1.0
     assert prof.v(2.0) == 0.0
     with pytest.raises(InvalidProfileError):
-        VProfile(name="bad", T=1.0, v=lambda t: 0.5, v_prime=lambda t: 0.0)
+        VProfile(name="bad", T=1.0, v=lambda t: 0.5, v_prime=lambda t: 0.0, iv2=0.25, ivp2=0.0)
 
 
 def test_v_bg_profile_matches_bound_coefficients():
