@@ -40,6 +40,7 @@ from .transport import (
     InterpolationPath,
     TransportPlan,
     cd_star_check,
+    cd_star_report,
     compression_bound,
     displacement_interpolation,
     harnack_transport_check,
@@ -58,13 +59,16 @@ from .inequalities import (
     baudoin_garofalo_check,
     be_flow_check,
     bg_bound,
+    bochner_check,
     eks_check,
     harnack_check,
     harnack_scan,
     kernel_corollary_suite,
     li_yau_check,
+    oracle_error_check,
     phi,
     phi_derivative_check,
+    phi_derivative_report,
     pre_li_yau_check,
     prop2_check,
     v_bg,

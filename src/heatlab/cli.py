@@ -20,8 +20,9 @@ Scenario files are JSON::
     }
 
 A check's params are the keyword-only arguments of its adapter in ``CHECKS``,
-and model and field params are those of the model builder and the field
-profile.  Identical scenario + seed produce byte-identical reports.
+model and field params are those of the model builder and the field profile,
+and the optional "sweep" object's are those of ``_sweep_sizes``.  Identical
+scenario + seed produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -40,14 +41,13 @@ import numpy as np
 from . import __version__
 from . import inequalities as iq
 from . import transport as tr
-from .calculus import ScalarField, bochner_margin, gamma2, interior_min, laplacian
+from .calculus import ScalarField
 from .errors import HeatlabError, ScenarioError
 from .heat import build_solver
 from .profiles import FIELD_PROFILES, build_fields, constant_profile
 from .reports import InequalityReport, amend, make_report
 from .serialize import margins_to_csv, reports_to_json
 from .space import MODEL_BUILDERS, MODEL_CATALOG, CurvatureDimension
-from .transport import measure_from_density
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +96,11 @@ def _eks(ctx, f, tol, *, t: float, K: float = None, N: float = None):
 
 
 def _bochner(ctx, f, tol, *, K: float = None, N: float = None):
-    space, cd = ctx.space, ctx.cd(K, N)
-    margin = bochner_margin(space, f, cd)
-    return [make_report("bochner", iq._base_params(space, cd),
-                        interior_min(space, margin.values), tol, margin_field=margin)]
+    return [iq.bochner_check(ctx.space, f, ctx.cd(K, N), tolerance=tol)]
 
 
 def _phi_derivative(ctx, f, tol, *, T: float, t: float, dt: float):
-    ones = constant_profile(ctx.space)
-    defect = iq.phi_derivative_check(ctx.solver, f, float(T), float(t), ones, float(dt))
-    return [make_report("phi-derivative", iq._base_params(ctx.space, T=T, t=t, dt=dt),
-                        -defect, tol, notes="margin is minus the derivative-identity defect")]
+    return [iq.phi_derivative_report(ctx.solver, f, T, t, dt, tolerance=tol)]
 
 
 def _prop2(ctx, f, tol, *, T: float, times: list[float], dt: float = 1e-3,
@@ -119,24 +113,17 @@ def _prop2(ctx, f, tol, *, T: float, times: list[float], dt: float = 1e-3,
                            dt=float(dt), tolerance=tol)]
 
 
-def _pre_li_yau(ctx, f, tol, *, T: float, profile: str, K: float = None, N: float = None):
+def _pre_li_yau(ctx, f, tol, *, T: float, profile: typing.Literal[tuple(iq.V_PROFILES)],
+                K: float = None, N: float = None):
     cd = ctx.cd(K, N)
-    if profile not in iq.V_PROFILES:
-        raise ScenarioError(f"unknown V-profile {profile!r}; known: {sorted(iq.V_PROFILES)}")
     v = iq.V_PROFILES[profile](float(T), cd)
     return [iq.pre_li_yau_check(ctx.solver, f, float(T), v, cd, tolerance=tol)]
 
 
 def _cd_star(ctx, tol, *, t: float, n_prime: float, mu0_field: str, mu1_field: str,
              K: float = None, N: float = None):
-    space, cd = ctx.space, ctx.cd(K, N)
-    mu0 = measure_from_density(space, ctx.fields[mu0_field][0].values)
-    mu1 = measure_from_density(space, ctx.fields[mu1_field][0].values)
-    defect = tr.cd_star_check(space, mu0, mu1, float(t), cd, float(n_prime))
-    vacuous = math.isinf(defect)
-    note = "vacuous distortion branch (infinite coefficient)" if vacuous else ""
-    return [make_report("cd-star", iq._base_params(space, cd, n_prime=n_prime, t=t),
-                        0.0 if vacuous else defect, tol, vacuous=vacuous, notes=note)]
+    return [tr.cd_star_report(ctx.space, ctx.fields[mu0_field][0], ctx.fields[mu1_field][0],
+                              t, ctx.cd(K, N), n_prime, tol)]
 
 
 def _kernel_corollary(ctx, tol, *, x: int, times: list[float],
@@ -145,31 +132,12 @@ def _kernel_corollary(ctx, tol, *, x: int, times: list[float],
                                      tolerance=tol)
 
 
-def _oracle_error(ctx, tol, operator: str):
-    """Interior sup error of ``operator`` (laplacian or gamma2) on f = cos(x)
-    against its closed form from the weight's analytic log-derivatives."""
-    space = ctx.space
-    x = space.nodes
-    with np.errstate(divide="ignore"):
-        log_w = space.weight_log_derivative(x)
-        log_w_prime = space.weight_log_derivative_prime(x)
-    f = ScalarField(np.cos(x), space)
-    fp, fpp = -np.sin(x), -np.cos(x)
-    if operator == "laplacian":
-        diff = laplacian(space, f).values - (fpp + log_w * fp)
-    else:
-        diff = gamma2(space, f).values - (fpp**2 - log_w_prime * fp**2)
-    err = float(np.max(np.abs(diff)[space.interior_mask()]))
-    return [make_report(f"{operator}-oracle-error", iq._base_params(space), -err, tol,
-                        notes="margin is minus the interior sup error against the analytic value")]
-
-
 def _laplacian_oracle_error(ctx, tol):
-    return _oracle_error(ctx, tol, "laplacian")
+    return [iq.oracle_error_check(ctx.space, "laplacian", tol)]
 
 
 def _gamma2_oracle_error(ctx, tol):
-    return _oracle_error(ctx, tol, "gamma2")
+    return [iq.oracle_error_check(ctx.space, "gamma2", tol)]
 
 
 #: check name -> adapter, named after the adapter; its signature is the check's schema.
@@ -185,13 +153,17 @@ CHECKS = {adapter.__name__[1:]: adapter for adapter in (
 def _scenario_params(fn) -> dict[str, inspect.Parameter]:
     """The parameters of ``fn`` a scenario sets: those annotated with a JSON type."""
     return {name: p for name, p in inspect.signature(fn, eval_str=True).parameters.items()
-            if (typing.get_origin(p.annotation) or p.annotation) in (float, int, str, list, tuple)}
+            if (typing.get_origin(p.annotation) or p.annotation)
+            in (float, int, str, list, tuple, typing.Literal)}
 
 
 def _conforms(value, annotation) -> bool:
     """Whether a parsed JSON value has the annotated type; a tuple is a fixed-length
-    list, a bool is never a number and a float is finite (and fits a double)."""
+    list, a Literal one of its values, a bool is never a number and a float is
+    finite (and fits a double)."""
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is typing.Literal:
+        return isinstance(value, str) and value in args
     if origin is list:
         return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
     if origin is tuple:
@@ -306,8 +278,7 @@ class Scenario:
         if not _conforms(seed, int):
             fail("seed", f"expected an integer, got {seed!r}")
         sweep = raw.get("sweep", {})
-        if not isinstance(sweep, dict):
-            fail("sweep", "expected an object")
+        _check_params(fail, "sweep", _sweep_sizes, sweep)
         return cls(
             model_name=name,
             model_params=dict(params),
@@ -361,15 +332,10 @@ def _run_check(ctx: _Context, check: dict, tolerance_scale: float) -> list[Inequ
         args = (ctx, tolerance) if f is None else (ctx, f, tolerance)
         try:
             reports = CHECKS[name](*args, **check.get("params", {}))
-        except HeatlabError as exc:
-            reports = [InequalityReport(
-                name=name.replace("_", "-"),
-                params={"model": ctx.space.model_id, "field": field_id},
-                min_margin=math.nan,
-                tolerance=tolerance,
-                verdict="error",
-                notes=f"{type(exc).__name__}: {exc}",
-            )]
+        except (HeatlabError, ArithmeticError) as exc:  # ArithmeticError: an overflowed bound
+            reports = [make_report(name.replace("_", "-"),
+                                   {"model": ctx.space.model_id, "field": field_id},
+                                   math.nan, tolerance, notes=f"{type(exc).__name__}: {exc}")]
         if field_id is not None and len(members) > 1:
             reports = [amend(r, field=f"{field_id}[{idx}]") for r in reports]
         elif field_id is not None:
@@ -432,24 +398,26 @@ def _sweep_defect(report: InequalityReport) -> float:
     return max(0.0, -report.min_margin)
 
 
+def _sweep_sizes(n, levels, *, factor: int = 2, grid_sizes: list[int] = None) -> list[int]:
+    """Grid sizes of a sweep's levels: the first ``levels`` of ``grid_sizes`` when
+    given, else n * factor**k.  Its keyword-only parameters are the "sweep" object."""
+    if factor < 2:
+        raise ScenarioError(f"sweep.factor must be >= 2, got {factor}")
+    if grid_sizes is None:
+        return [n * factor**k for k in range(levels)]
+    if len(grid_sizes) < levels:
+        raise ScenarioError(f"sweep.grid_sizes provides {len(grid_sizes)} levels, need {levels}")
+    return grid_sizes[:levels]
+
+
 def sweep_scenario(scenario: Scenario, levels: int, out_dir,
                    tolerance_scale: float = 1.0) -> int:
     """Re-run every check over refined grids; fit each defect's order in h."""
     if levels < 3:
         raise ScenarioError(f"a sweep needs at least 3 levels, got {levels}")
+    grid_sizes = _sweep_sizes(scenario.model_params.get("n", 100), levels, **scenario.sweep)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base_n = int(scenario.model_params.get("n", 100))
-    grid_sizes = scenario.sweep.get("grid_sizes")
-    if grid_sizes is None:
-        factor = int(scenario.sweep.get("factor", 2))
-        grid_sizes = [base_n * factor**k for k in range(levels)]
-    else:
-        grid_sizes = [int(n) for n in grid_sizes[:levels]]
-        if len(grid_sizes) < levels:
-            raise ScenarioError(
-                f"sweep.grid_sizes provides {len(grid_sizes)} levels, need {levels}"
-            )
     labels = [check["name"] for check in scenario.checks]
     table: dict[int, list] = {k: [] for k in range(len(scenario.checks))}
     for n in grid_sizes:

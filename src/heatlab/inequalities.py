@@ -21,13 +21,16 @@ from .calculus import (
     ScalarField,
     _laplacian_values,
     _same_space,
+    bochner_margin,
     carre_du_champ,
     gamma2,
     interior_min,
+    laplacian,
     log_field,
 )
 from .errors import DomainError, InvalidParameterError, InvalidProfileError, PreconditionError
 from .heat import SpectralSolver, gaussian_kernel_oracle, heat_apply, heat_kernel, time_resolution_floor
+from .profiles import constant_profile
 from .reports import InequalityReport, amend, make_report
 from .space import CurvatureDimension, ModelSpace
 from .stable import expm1_ratio, inv_one_minus_exp_neg
@@ -63,11 +66,13 @@ def _regularized(f: ScalarField) -> ScalarField:
     return ScalarField(f.values + eps, f.space)
 
 
-def _boundary_min(space: ModelSpace, values: np.ndarray) -> float | None:
-    mask = ~space.interior_mask(INTERIOR_STEPS)
-    if not mask.any():
-        return None
-    return float(values[mask].min())
+def _regularized_flow(solver: SpectralSolver, f: ScalarField, T: float,
+                      who: str) -> tuple[ScalarField, np.ndarray]:
+    """(u, L u) for u = H_T of the epsilon-regularized f."""
+    if T <= 0:
+        raise DomainError(f"{who} needs T > 0, got {T}")
+    u = heat_apply(solver, _regularized(f), T)
+    return u, _laplacian_values(solver.space, u.values)
 
 
 def _base_params(space: ModelSpace, cd: CurvatureDimension | None = None, **extra) -> dict:
@@ -77,6 +82,18 @@ def _base_params(space: ModelSpace, cd: CurvatureDimension | None = None, **extr
         params["N"] = cd.N
     params.update(extra)
     return params
+
+
+def _field_report(space: ModelSpace, name: str, params: dict, margin: np.ndarray,
+                  tolerance: float, notes: str = "", **kw) -> InequalityReport:
+    """Report on a pointwise margin field: the interior minimum is asserted, and the
+    boundary rows' minimum is appended to the notes."""
+    boundary = ~space.interior_mask(INTERIOR_STEPS)
+    if boundary.any():
+        bnote = f"boundary rows reported, not asserted: min {float(margin[boundary].min()):.6e}"
+        notes = f"{notes}; {bnote}" if notes else bnote
+    return make_report(name, params, interior_min(space, margin), tolerance,
+                       margin_field=ScalarField(margin, space), notes=notes, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -139,25 +156,14 @@ def bakry_qian_check(
     if cd.K <= 0:
         raise InvalidParameterError(f"bakry_qian_check needs K > 0, got {cd.K}")
     _require_nonnegative(f, "bakry_qian_check")
-    if T <= 0:
-        raise DomainError(f"bakry_qian_check needs T > 0, got {T}")
-    space = solver.space
-    u = heat_apply(solver, _regularized(f), T).values
-    lap_u = _laplacian_values(space, u)
-    margin = (cd.N * cd.K / 4.0) * u - lap_u
+    u, lap_u = _regularized_flow(solver, f, T, "bakry_qian_check")
+    margin = (cd.N * cd.K / 4.0) * u.values - lap_u
     in_regime = T >= 2.0 / cd.K
     notes = "T >= 2/K: inside proof regime" if in_regime else (
         "outside proof regime (T < 2/K): margins recorded, not asserted"
     )
-    bnote = _boundary_note(space, margin)
-    if bnote:
-        notes = f"{notes}; {bnote}"
-    return make_report(
-        name="bakry-qian",
-        params=_base_params(space, cd, T=T),
-        min_margin=interior_min(space, margin),
-        tolerance=tolerance,
-        margin_field=ScalarField(margin, space),
+    return _field_report(
+        solver.space, "bakry-qian", _base_params(solver.space, cd, T=T), margin, tolerance,
         notes=notes,
         vacuous=not in_regime,
         extras={"bound_coefficient": cd.N * cd.K / 4.0, "proof_regime_T": 2.0 / cd.K},
@@ -198,22 +204,15 @@ def baudoin_garofalo_check(
     """
     _same_space(solver.space, f)
     _require_nonnegative(f, "baudoin_garofalo_check")
-    if T <= 0:
-        raise DomainError(f"baudoin_garofalo_check needs T > 0, got {T}")
     space = solver.space
+    flowed, lap_u = _regularized_flow(solver, f, T, "baudoin_garofalo_check")
     c1, c2 = bg_bound(T, cd)
-    u = heat_apply(solver, _regularized(f), T).values
-    lap_u = _laplacian_values(space, u)
-    gamma_u = carre_du_champ(space, ScalarField(u, space)).values
+    u = flowed.values
+    gamma_u = carre_du_champ(space, flowed).values
     margin = c1 * lap_u * u + c2 * u * u - gamma_u
     log_margin = c1 * lap_u / u + c2 - gamma_u / (u * u)
-    return make_report(
-        name="baudoin-garofalo",
-        params=_base_params(space, cd, T=T),
-        min_margin=interior_min(space, margin),
-        tolerance=tolerance,
-        margin_field=ScalarField(margin, space),
-        notes=_boundary_note(space, margin),
+    return _field_report(
+        space, "baudoin-garofalo", _base_params(space, cd, T=T), margin, tolerance,
         extras={
             "c1": c1,
             "c2": c2,
@@ -330,14 +329,7 @@ def be_flow_check(
     space = solver.space
     gamma_u = carre_du_champ(space, u).values
     margin = math.exp(-2.0 * cd.K * t) * flowed - gamma_u
-    return make_report(
-        name="be-flow",
-        params=_base_params(space, cd, t=t),
-        min_margin=interior_min(space, margin),
-        tolerance=tolerance,
-        margin_field=ScalarField(margin, space),
-        notes=_boundary_note(space, margin),
-    )
+    return _field_report(space, "be-flow", _base_params(space, cd, t=t), margin, tolerance)
 
 
 def eks_coefficient(t: float, cd: CurvatureDimension) -> float:
@@ -362,15 +354,39 @@ def eks_check(
     lap_u = _laplacian_values(space, u.values)
     coeff = eks_coefficient(t, cd)
     margin = math.exp(-2.0 * cd.K * t) * flowed - gamma_u - coeff * lap_u * lap_u
-    return make_report(
-        name="eks",
-        params=_base_params(space, cd, t=t),
-        min_margin=interior_min(space, margin),
-        tolerance=tolerance,
-        margin_field=ScalarField(margin, space),
-        notes=_boundary_note(space, margin),
-        extras={"laplacian_coefficient": coeff},
-    )
+    return _field_report(space, "eks", _base_params(space, cd, t=t), margin, tolerance,
+                         extras={"laplacian_coefficient": coeff})
+
+
+# ---------------------------------------------------------------------------
+# pointwise calculus checks
+
+
+def bochner_check(space: ModelSpace, f: ScalarField, cd: CurvatureDimension,
+                  tolerance: float = 1e-6) -> InequalityReport:
+    """Pointwise Bochner inequality  gamma2(f) >= K Gamma(f) + (Lf)^2 / N  on the
+    interior nodes; the margin field is calculus.bochner_margin (no boundary note)."""
+    margin = bochner_margin(space, f, cd)
+    return make_report("bochner", _base_params(space, cd), interior_min(space, margin.values),
+                       tolerance, margin_field=margin)
+
+
+def oracle_error_check(space: ModelSpace, operator: str, tolerance: float) -> InequalityReport:
+    """Interior sup error of ``operator`` (laplacian or gamma2) on f = cos(x) against
+    its closed form from the weight's analytic log-derivatives; the margin is minus it."""
+    if operator not in ("laplacian", "gamma2"):
+        raise InvalidParameterError(f"unknown operator {operator!r}; known: laplacian, gamma2")
+    x = space.nodes
+    f = ScalarField(np.cos(x), space)
+    fp, fpp = -np.sin(x), -np.cos(x)
+    with np.errstate(divide="ignore", invalid="ignore"):  # poles of the weight: boundary nodes
+        if operator == "laplacian":
+            diff = laplacian(space, f).values - (fpp + space.weight_log_derivative(x) * fp)
+        else:
+            diff = gamma2(space, f).values - (fpp**2 - space.weight_log_derivative_prime(x) * fp**2)
+    err = float(np.max(np.abs(diff)[space.interior_mask()]))
+    return make_report(f"{operator}-oracle-error", _base_params(space), -err, tolerance,
+                       notes="margin is minus the interior sup error against the analytic value")
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +448,18 @@ def phi_derivative_check(
         - _phi_pairing(solver, f, T, t - dt, phi_test)
     ) / (2.0 * dt)
     u = heat_apply(solver, f, T - t)
-    g2_log = _gamma2_values(space, np.log(u.values))
+    g2_log = gamma2(space, ScalarField(np.log(u.values), space)).values
     flowed_test = heat_apply(solver, phi_test, t).values
     rhs = 2.0 * float((u.values * flowed_test * g2_log) @ space.measure)
     return abs(lhs - rhs)
 
 
-def _gamma2_values(space: ModelSpace, values: np.ndarray) -> np.ndarray:
-    return gamma2(space, ScalarField(values, space)).values
+def phi_derivative_report(solver: SpectralSolver, f: ScalarField, T: float, t: float, dt: float,
+                          tolerance: float = 1e-6) -> InequalityReport:
+    """phi_derivative_check with the constant test field; the margin is minus the defect."""
+    defect = phi_derivative_check(solver, f, T, t, constant_profile(solver.space), dt)
+    return make_report("phi-derivative", _base_params(solver.space, T=T, t=t, dt=dt), -defect,
+                       tolerance, notes="margin is minus the derivative-identity defect")
 
 
 def quadratic_decay_profile(T: float):
@@ -622,26 +642,18 @@ def pre_li_yau_check(
     """
     _same_space(solver.space, f)
     _require_phi_floor(f, "pre_li_yau_check")
-    if T <= 0:
-        raise DomainError(f"pre_li_yau_check needs T > 0, got {T}")
+    u, lap_u = _regularized_flow(solver, f, T, "pre_li_yau_check")
     if abs(profile.T - T) > 1e-12:
         raise InvalidProfileError(
             f"profile horizon {profile.T} does not match check horizon {T}"
         )
     space = solver.space
     coef_delta, rhs_const = pre_li_yau_coefficients(profile, cd)
-    u = heat_apply(solver, _regularized(f), T)
     gamma_log = carre_du_champ(space, log_field(u)).values
-    lap_u = _laplacian_values(space, u.values)
     margin = rhs_const - gamma_log + coef_delta * lap_u / u.values
-    return make_report(
-        name="pre-li-yau",
-        params=_base_params(space, cd, T=T, profile=profile.name),
-        min_margin=interior_min(space, margin),
-        tolerance=tolerance,
-        margin_field=ScalarField(margin, space),
-        notes=_boundary_note(space, margin),
-        extras={"laplacian_coefficient": coef_delta, "rhs_constant": rhs_const},
+    return _field_report(
+        space, "pre-li-yau", _base_params(space, cd, T=T, profile=profile.name), margin,
+        tolerance, extras={"laplacian_coefficient": coef_delta, "rhs_constant": rhs_const},
     )
 
 
@@ -664,6 +676,8 @@ def kernel_corollary_suite(
     at K > 0, (iii) the curvature-corrected gradient bound, (iv) the two-time
     comparison scanned over a coarse node grid with s = t/2.
     """
+    if len(times) == 0:
+        raise InvalidParameterError("kernel_corollary_suite needs a non-empty times")
     space = solver.space
     t0 = 5.0 * space.spacing**2
     floor = time_resolution_floor(space) + t0
@@ -693,9 +707,3 @@ def kernel_corollary_suite(
         reports.append(amend(rep, "kernel-harnack-iv", base=x, t=t))
     return reports
 
-
-def _boundary_note(space: ModelSpace, margin: np.ndarray) -> str:
-    bmin = _boundary_min(space, margin)
-    if bmin is None:
-        return ""
-    return f"boundary rows reported, not asserted: min {bmin:.6e}"

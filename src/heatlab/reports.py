@@ -13,6 +13,7 @@ from .calculus import ScalarField
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
 VERDICT_VACUOUS = "vacuous-pass"
+VERDICT_ERROR = "error"
 
 
 @dataclass(frozen=True, eq=False)
@@ -23,7 +24,8 @@ class InequalityReport:
     one (None for scalar-valued checks); ``min_margin`` is the minimum over
     the asserted (interior) nodes.  The verdict is "pass" exactly when
     min_margin >= -tolerance, or "vacuous-pass" when there was nothing to
-    assert (infinite comparison branch, outside the proof's regime).
+    assert (infinite comparison branch, outside the proof's regime).  A
+    non-finite min_margin (an errored check, an overflowed bound) is "error".
     """
 
     name: str
@@ -83,7 +85,9 @@ def make_report(
     vacuous: bool = False,
     extras: Optional[dict] = None,
 ) -> InequalityReport:
-    if vacuous:
+    if not math.isfinite(min_margin):
+        verdict = VERDICT_ERROR
+    elif vacuous:
         verdict = VERDICT_VACUOUS
     else:
         verdict = VERDICT_PASS if min_margin >= -tolerance else VERDICT_FAIL

@@ -26,7 +26,7 @@ from .errors import (
     NumericalError,
 )
 from .heat import SpectralSolver, heat_apply
-from .inequalities import _epsilon_for, _harnack_constants, _require_nonnegative
+from .inequalities import _base_params, _epsilon_for, _harnack_constants, _require_nonnegative
 from .reports import InequalityReport, make_report
 from .space import CurvatureDimension, ModelSpace
 
@@ -420,6 +420,19 @@ def cd_star_check(
     rho1 = mu1.density()[plan.cols]
     rhs = -float(plan.masses @ (sig0 * rho0 ** (-1.0 / n_prime) + sig1 * rho1 ** (-1.0 / n_prime)))
     return rhs - lhs
+
+
+def cd_star_report(space: ModelSpace, rho0: ScalarField, rho1: ScalarField, t: float,
+                   cd: CurvatureDimension, n_prime: float, tolerance: float) -> InequalityReport:
+    """cd_star_check between the measures with densities rho0 and rho1 as a report;
+    the vacuous distortion branch is a vacuous-pass with margin 0."""
+    mu0 = measure_from_density(space, rho0.values)
+    mu1 = measure_from_density(space, rho1.values)
+    defect = cd_star_check(space, mu0, mu1, t, cd, n_prime)
+    vacuous = math.isinf(defect)
+    return make_report("cd-star", _base_params(space, cd, n_prime=n_prime, t=t),
+                       0.0 if vacuous else defect, tolerance, vacuous=vacuous,
+                       notes="vacuous distortion branch (infinite coefficient)" if vacuous else "")
 
 
 def _ball_indices(space: ModelSpace, center: int, radius: float) -> np.ndarray:

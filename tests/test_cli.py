@@ -11,8 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heatlab
+from heatlab import inequalities as iq
 from heatlab.cli import Scenario, list_models_text, main, run_scenario
 from heatlab.errors import ScenarioError
+from heatlab.heat import build_solver
+from heatlab.profiles import build_fields
+from heatlab.reports import amend
+from heatlab.space import MODEL_BUILDERS, CurvatureDimension
+from heatlab.transport import cd_star_report
 
 TWO_PI = 2 * math.pi
 
@@ -130,10 +136,15 @@ def _kernel_times(s, times):
         (lambda s: _kernel_times(s, ["x"]), "params.times"),
         (lambda s: s.update(seed=True), "seed"),
         (lambda s: s["checks"][0]["params"].update(T=math.nan), "params.T"),
+        (lambda s: s.update(sweep={"factor": "x"}), "sweep.factor"),
+        (lambda s: s["checks"].append({"name": "pre_li_yau", "field": "f0",
+                                       "params": {"T": 0.5, "profile": "v_bogus"}}),
+         "params.profile"),
     ],
     ids=["tolerance-bool", "n-2", "unknown-model-param", "missing-model-param",
          "unknown-field-param", "xs-element-types", "pairs-element-length",
-         "times-element-type", "seed-bool", "T-nan"],
+         "times-element-type", "seed-bool", "T-nan", "sweep-factor-string",
+         "unknown-v-profile"],
 )
 def test_bad_input_exits_two(tmp_path, capsys, mutate, fragment):
     payload = basic_scenario()
@@ -168,6 +179,9 @@ def _small_scenario(check_names):
         "kernel_corollary": {"name": "kernel_corollary", "params": {"x": 3, "times": [1.0]}},
         "harnack_transport": {"name": "harnack_transport", "field": "bump",
                               "params": {"x": 2, "y": 12, "s": 0.5, "t": 1.0}},
+        "baudoin_garofalo": {"name": "baudoin_garofalo", "field": "f0",
+                             "params": {"T": 0.5, "K": -2.0}},
+        "be_flow": {"name": "be_flow", "field": "f0", "params": {"t": 0.5, "K": -2.0}},
     }
     return {
         "seed": 5,
@@ -182,13 +196,15 @@ def _small_scenario(check_names):
 
 
 _CHECK_NAMES = ["li_yau", "harnack_scan", "phi_derivative", "prop2", "pre_li_yau", "cd_star",
-                "kernel_corollary", "harnack_transport"]
+                "kernel_corollary", "harnack_transport", "baudoin_garofalo", "be_flow"]
 
 
 @st.composite
-def _mutated_scenarios(draw):
+def _mutated_scenarios(draw, sweep=False):
     scenario = _small_scenario(draw(st.lists(st.sampled_from(_CHECK_NAMES), min_size=2,
                                              max_size=3, unique=True)))
+    if sweep:
+        scenario["sweep"] = {"factor": 2}
     for _ in range(draw(st.integers(1, 3))):
         sites = list(_mutation_sites(scenario))
         path, value = draw(st.sampled_from(sites))
@@ -196,30 +212,154 @@ def _mutated_scenarios(draw):
         for key in path[:-1]:
             parent = parent[key]
         kind = draw(st.sampled_from(["drop", "bool", "none", "string", "list", "zero",
-                                     "negative"]))
+                                     "negative", "scale"]))
         if kind == "drop":
             del parent[path[-1]]
         elif kind in ("zero", "negative") and isinstance(value, (int, float)):
             parent[path[-1]] = 0 if kind == "zero" else -value
+        elif kind == "scale":  # floats only: an int is a size, a count or a node
+            if isinstance(value, float):
+                parent[path[-1]] = value * draw(st.sampled_from([1e3, -1e3]))
         else:
             parent[path[-1]] = {"bool": True, "none": None, "string": "x", "list": [],
                                 "zero": 0, "negative": -1}[kind]
     return scenario
 
 
-@settings(max_examples=100, deadline=None)
-@given(_mutated_scenarios())
-def test_mutated_scenarios_never_raise(scenario):
+def _run_mutated(command, scenario, *extra):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(scenario))
-        code = main(["run", str(path), "--out-dir", str(Path(tmp) / "out")])
-    assert code in (0, 1, 2)
+        return main([command, str(path), *extra, "--out-dir", str(Path(tmp) / "out")])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mutated_scenarios())
+def test_mutated_scenarios_never_raise(scenario):
+    assert _run_mutated("run", scenario) in (0, 1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mutated_scenarios(sweep=True))
+def test_mutated_sweeps_never_raise(scenario):
+    assert _run_mutated("sweep", scenario, "--levels", "3") in (0, 1, 2)
 
 
 def test_unmutated_small_scenario_passes(tmp_path):
     path = write_scenario(tmp_path, _small_scenario(_CHECK_NAMES))
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "sweep,fragment",
+    [
+        ({"factor": "x"}, "sweep.factor"),
+        ({"factor": 1}, "sweep.factor"),
+        ({"grid_sizes": [24, 48]}, "sweep.grid_sizes"),
+        ({"grid_sizes": [24, "a", 96]}, "sweep.grid_sizes"),
+        ({"levels": 3}, "unknown parameters"),
+    ],
+    ids=["factor-string", "factor-1", "grid-sizes-short", "grid-sizes-element", "unknown-key"],
+)
+def test_bad_sweep_exits_two(tmp_path, capsys, sweep, fragment):
+    path = write_scenario(tmp_path, dict(_small_scenario(["li_yau"]), sweep=sweep))
+    assert main(["sweep", str(path), "--levels", "3", "--out-dir", str(tmp_path / "out")]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_sweep_with_grid_sizes(tmp_path):
+    payload = dict(_small_scenario(["li_yau"]), sweep={"grid_sizes": [24, 36, 48, 60]})
+    path = write_scenario(tmp_path, payload)
+    assert main(["sweep", str(path), "--levels", "3", "--out-dir", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["24", "36", "48"]
+
+
+@pytest.mark.parametrize("name,params", [
+    ("baudoin_garofalo", {"T": 1000.0, "K": -2.0}),
+    ("be_flow", {"t": 1000.0, "K": -2.0}),
+    ("pre_li_yau", {"T": 1000.0, "K": -2.0, "profile": "v_bg"}),
+])
+def test_overflowing_bound_is_an_error_verdict(tmp_path, name, params):
+    payload = _small_scenario([])
+    payload["checks"] = [{"name": name, "field": "f0", "params": params, "tolerance": 1e-3}]
+    path = write_scenario(tmp_path, payload)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    (report,) = json.loads((tmp_path / "out" / "report.json").read_text())["reports"]
+    assert report["verdict"] == "error"
+    assert report["min_margin"] is None
+    assert report["notes"].startswith("OverflowError")
+
+
+def test_empty_kernel_corollary_times_is_an_error(tmp_path):
+    payload = _small_scenario([])
+    payload["checks"] = [{"name": "kernel_corollary", "params": {"x": 3, "times": []}}]
+    path = write_scenario(tmp_path, payload)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    (report,) = json.loads((tmp_path / "out" / "report.json").read_text())["reports"]
+    assert report["verdict"] == "error"
+    assert "non-empty times" in report["notes"]
+
+
+_LIBRARY_CASES = {
+    "circle": ({"name": "circle", "params": {"n": 40, "circumference": TWO_PI}},
+               [{"id": "f0", "profile": "cosine", "params": {"offset": 2.0}},
+                {"id": "bump", "profile": "gaussian_bump",
+                 "params": {"center": 1.0, "width": 0.5}}],
+               {"K": 4.0, "N": 1.0, "n_prime": 1.0}),
+    "sphere": ({"name": "sphere_model", "params": {"n": 60, "N": 2.0}},
+               [{"id": "f0", "profile": "cosine", "params": {"offset": 2.0}},
+                {"id": "bump", "profile": "gaussian_bump",
+                 "params": {"center": 0.6, "width": 0.25}}],
+               {"K": 16.0, "N": 2.0, "n_prime": 2.0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LIBRARY_CASES))
+def test_library_verifiers_equal_cli_reports(tmp_path, case):
+    model, fields, vacuous = _LIBRARY_CASES[case]
+    cd_star = {"name": "cd_star", "tolerance": 0.05,
+               "params": {"t": 0.5, "n_prime": 2.0, "mu0_field": "f0", "mu1_field": "bump"}}
+    payload = {
+        "seed": 3, "model": model, "fields": fields,
+        "checks": [
+            {"name": "bochner", "field": "f0", "tolerance": 0.05},
+            {"name": "phi_derivative", "field": "f0", "tolerance": 1e-3,
+             "params": {"T": 1.0, "t": 0.5, "dt": 0.001}},
+            {"name": "laplacian_oracle_error", "tolerance": 0.1},
+            {"name": "gamma2_oracle_error", "tolerance": 0.1},
+            cd_star,
+            dict(cd_star, params=dict(cd_star["params"], t=0.25, **vacuous)),
+        ],
+    }
+    path = write_scenario(tmp_path, payload)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) in (0, 1)
+    written = json.loads((tmp_path / "out" / "report.json").read_text())["reports"]
+
+    space = MODEL_BUILDERS[model["name"]](**model["params"])
+    solver = build_solver(space)
+    f0, bump = (build_fields(space, spec["profile"], spec["params"], 0)[0] for spec in fields)
+    cd = space.expected_cd
+    bochner = iq.bochner_check(space, f0, cd, tolerance=0.05)
+    reports = [
+        amend(bochner, field="f0"),
+        amend(iq.phi_derivative_report(solver, f0, 1.0, 0.5, 0.001, tolerance=1e-3), field="f0"),
+        iq.oracle_error_check(space, "laplacian", 0.1),
+        iq.oracle_error_check(space, "gamma2", 0.1),
+        cd_star_report(space, f0, bump, 0.5, cd, 2.0, 0.05),
+        cd_star_report(space, f0, bump, 0.25, CurvatureDimension(vacuous["K"], vacuous["N"]),
+                       vacuous["n_prime"], 0.05),
+    ]
+    assert reports[-1].verdict == "vacuous-pass"
+
+    def canonical(dicts):
+        return sorted(json.dumps(d, sort_keys=True) for d in dicts)
+
+    assert canonical(r.to_dict() for r in reports) == canonical(written)
+    rows = (tmp_path / "out" / "margins_bochner.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == bochner.margin_field.values.tolist()
+    assert sorted((tmp_path / "out").glob("margins_*.csv")) == [
+        tmp_path / "out" / "margins_bochner.csv"]
 
 
 def test_check_error_marks_report_and_exits_one(tmp_path):

@@ -35,10 +35,12 @@ from heatlab.errors import (
 )
 from heatlab.inequalities import (
     VProfile,
+    _field_report,
     eks_coefficient,
     gamma_for_profile,
     harnack_prefactor,
     li_yau_oracle_margin,
+    oracle_error_check,
     pre_li_yau_coefficients,
     quadratic_decay_profile,
 )
@@ -551,3 +553,30 @@ def test_kernel_corollary_sphere(sphere400, solvers):
 def test_kernel_corollary_rejects_unresolvable_times(circle200, solvers):
     with pytest.raises(DomainError):
         kernel_corollary_suite(solvers["circle200"], 0, CD_FLAT, [1e-6])
+
+
+def test_kernel_corollary_rejects_empty_times(circle200, solvers):
+    with pytest.raises(InvalidParameterError):
+        kernel_corollary_suite(solvers["circle200"], 0, CD_FLAT, [])
+
+
+# -- report helpers -------------------------------------------------------------
+
+
+def test_field_report_appends_boundary_note(interval200):
+    margin = np.linspace(-1.0, 1.0, interval200.n_nodes)
+    rep = _field_report(interval200, "demo", {}, margin, 1e-6, notes="regime")
+    assert rep.min_margin == margin[2]
+    assert rep.notes == f"regime; boundary rows reported, not asserted: min {-1.0:.6e}"
+    assert _field_report(interval200, "demo", {}, margin, 1e-6).notes.startswith("boundary")
+
+
+def test_field_report_on_circle_has_no_boundary_note(circle200):
+    margin = np.cos(circle200.nodes)
+    rep = _field_report(circle200, "demo", {}, margin, 1e-6, notes="regime", vacuous=True)
+    assert (rep.notes, rep.verdict, rep.min_margin) == ("regime", "vacuous-pass", margin.min())
+
+
+def test_oracle_error_check_rejects_unknown_operator(circle200):
+    with pytest.raises(InvalidParameterError):
+        oracle_error_check(circle200, "divergence", 0.1)

@@ -77,3 +77,4 @@ def test_report_dict_is_strict_json_for_non_finite_margins(margin):
     rep = make_report("cd-star", {"t": 0.5}, margin, 1e-6, vacuous=True)
     text = json.dumps(rep.to_dict(), allow_nan=False)
     assert json.loads(text)["min_margin"] is None
+    assert rep.verdict == "error"

@@ -3,7 +3,10 @@
 ``perfbench.tracer.Tracer.install`` refuses to run when a public heatlab
 function is held anywhere it cannot rebind (a tuple, a partial, a default
 argument, ...).  The test modules' own imports would count as such holders,
-so the traced run happens in a fresh interpreter.
+so the traced run happens in a fresh interpreter.  The shipped scenarios
+must also record every span the benchmark's traced scenario_mix and fine_grid
+runs require, or ``perfbench/run.py --trace 1`` would refuse a refactor that
+drops a call path.
 """
 
 import json
@@ -18,6 +21,7 @@ import contextlib, io, json, sys, tempfile
 from pathlib import Path
 sys.path[:0] = ["src", "."]
 import heatlab.cli as cli
+from perfbench.run import expected_spans
 from perfbench.tracer import Tracer
 
 tracer = Tracer()
@@ -28,7 +32,9 @@ with tempfile.TemporaryDirectory() as out:
         with tracer.tracing(), contextlib.redirect_stdout(io.StringIO()):
             codes[path.stem] = cli.main(["run", str(path), "--out-dir", out])
 tracer.uninstall()
-print(json.dumps({"codes": codes, "spans": sorted({s[0] for s in tracer.spans})}))
+print(json.dumps({"codes": codes, "spans": sorted({s[0] for s in tracer.spans}),
+                  "expected": sorted(expected_spans("scenario_mix")
+                                     | expected_spans("fine_grid"))}))
 """
 
 
@@ -42,3 +48,5 @@ def test_traced_shipped_scenarios_record_every_check():
     checks = {c["name"] for path in scenarios for c in json.loads(path.read_text())["checks"]}
     missing = {f"check.{name}" for name in checks} - set(result["spans"])
     assert not missing
+    unrecorded = set(result["expected"]) - set(result["spans"])
+    assert not unrecorded, f"spans the traced benchmark needs but no run recorded: {unrecorded}"
