@@ -5,13 +5,21 @@ D^{1/2} L D^{-1/2} (D = diag(m)) is symmetric, tridiagonal on intervals, and one
 eigendecomposition gives the semigroup at arbitrary times with no
 time-stepping error: the semigroup law, mass conservation and the maximum
 principle then hold to roundoff.  Intended for desk scale (n up to ~2000).
+
+Each solver memoizes the flows ``heat_apply`` computes, keyed by
+``(float(t), f.values.tobytes())``: checks that flow the same field to the
+same time (the Harnack scans, the kernel corollaries, checks sharing a
+suite) compute it once.  A hit returns the read-only field the first call
+computed, so results are bit-identical with or without the memo.  The memo
+holds at most ``max(1, n // 2)`` flows and drops the oldest first, so it
+never holds more bytes than the n x n eigenbasis.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +46,7 @@ class SpectralSolver:
     space: ModelSpace
     eigenvalues: np.ndarray
     eigenfields: np.ndarray
+    _flows: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("eigenvalues", "eigenfields"):
@@ -111,13 +120,27 @@ def build_solver(space: ModelSpace) -> SpectralSolver:
 
 
 def heat_apply(solver: SpectralSolver, f: ScalarField, t: float) -> ScalarField:
-    """H_t f = sum_k e^{lambda_k t} <f, e_k>_m e_k for t >= 0."""
+    """H_t f = sum_k e^{lambda_k t} <f, e_k>_m e_k for t >= 0.
+
+    Memoized per solver on ``(float(t), f.values.tobytes())``, at most
+    ``max(1, n // 2)`` flows, oldest dropped first; a hit returns the same
+    read-only field, bit for bit, that computing the flow again would.
+    """
     if t < 0:
         raise DomainError(f"heat flow time must be nonnegative, got {t}")
     _same_space(solver.space, f)
+    key = (float(t), f.values.tobytes())
+    flows = solver._flows
+    hit = flows.get(key)
+    if hit is not None:
+        return hit
     coef = solver.project(f.values)
     decayed = np.exp(solver.eigenvalues * t) * coef
-    return ScalarField(solver.reconstruct(decayed), solver.space)
+    flowed = ScalarField(solver.reconstruct(decayed), solver.space)
+    if len(flows) >= max(1, solver.space.n_nodes // 2):
+        flows.pop(next(iter(flows)), None)
+    flows[key] = flowed
+    return flowed
 
 
 def heat_time_derivative(solver: SpectralSolver, f: ScalarField, t: float) -> ScalarField:

@@ -199,14 +199,19 @@ _CHECK_NAMES = ["li_yau", "harnack_scan", "phi_derivative", "prop2", "pre_li_yau
                 "kernel_corollary", "harnack_transport", "baudoin_garofalo", "be_flow"]
 
 
+def _is_check_param(path):
+    return len(path) > 3 and path[0] == "checks" and path[2] == "params"
+
+
 @st.composite
-def _mutated_scenarios(draw, sweep=False):
+def _mutated_scenarios(draw, sweep=False, params_only=False):
     scenario = _small_scenario(draw(st.lists(st.sampled_from(_CHECK_NAMES), min_size=2,
                                              max_size=3, unique=True)))
     if sweep:
         scenario["sweep"] = {"factor": 2}
     for _ in range(draw(st.integers(1, 3))):
-        sites = list(_mutation_sites(scenario))
+        sites = [site for site in _mutation_sites(scenario)
+                 if not params_only or _is_check_param(site[0])]
         path, value = draw(st.sampled_from(sites))
         parent = scenario
         for key in path[:-1]:
@@ -236,6 +241,14 @@ def _run_mutated(command, scenario, *extra):
 @settings(max_examples=100, deadline=None)
 @given(_mutated_scenarios())
 def test_mutated_scenarios_never_raise(scenario):
+    assert _run_mutated("run", scenario) in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mutated_scenarios(params_only=True))
+def test_mutated_check_params_never_raise(scenario):
+    # Sites only below checks[k].params, so most examples reach a check
+    # instead of stopping at load on a broken model, field or check object.
     assert _run_mutated("run", scenario) in (0, 1, 2)
 
 
@@ -439,18 +452,45 @@ def test_scenario_from_dict_rejects_non_objects():
         Scenario.from_dict({"model": {"name": "circle"}, "checks": []}, origin="x")
 
 
-def test_console_entry_point(tmp_path):
+def _child_env():
     # The child imports the same heatlab as this process, also under a bare
     # `pytest`, whose pythonpath setting does not reach subprocesses.
     source_root = str(Path(heatlab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "heatlab.cli", "list-models"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert "hyperbolic_model" in proc.stdout
+
+
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_in_process_commands_carry_no_state(tmp_path):
+    # One process runs flat_circle, then sweeps convergence over n = 50, 100, 200:
+    # neither the solvers' flow memos nor the CSV writer's node text may leak
+    # between solvers or spaces, so each output equals a fresh process's.
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    commands = {
+        "run": ["run", str(scenarios / "flat_circle.json")],
+        "sweep": ["sweep", str(scenarios / "convergence.json"), "--levels", "3"],
+    }
+    for name, argv in commands.items():
+        assert main([*argv, "--out-dir", str(tmp_path / "together" / name)]) == 0
+    for name, argv in commands.items():
+        alone = tmp_path / "alone" / name
+        subprocess.run([sys.executable, "-m", "heatlab.cli", *argv, "--out-dir", str(alone)],
+                       check=True, capture_output=True, env=_child_env())
+        together = _tree(tmp_path / "together" / name)
+        assert together and together == _tree(alone)
 
 
 def test_run_scenario_accepts_parsed_object(tmp_path):

@@ -19,7 +19,14 @@ from heatlab import (
 )
 from heatlab.calculus import laplacian_matrix
 from heatlab.errors import DomainError
-from heatlab.heat import ResolutionWarning, laplacian_consistency_error, time_resolution_floor
+from heatlab.heat import (
+    ResolutionWarning,
+    SpectralSolver,
+    laplacian_consistency_error,
+    time_resolution_floor,
+)
+from heatlab.inequalities import harnack_scan, kernel_corollary_suite
+from heatlab.space import CurvatureDimension
 
 from conftest import smooth_random_values
 
@@ -268,8 +275,6 @@ def test_kernel_positivity_holds_even_below_resolution(circle200, solvers):
 def test_kernel_resolution_warning_mechanism():
     # A hand-built non-Markov eigensystem produces genuine negative density,
     # which must warn rather than fail.
-    from heatlab.heat import SpectralSolver
-
     space = build_interval(3, 1.0)
     basis = np.column_stack([
         np.ones(3),
@@ -316,6 +321,78 @@ def test_time_derivative_matches_difference_quotient(interval200, solvers):
 def test_time_derivative_rejects_nonpositive_time(circle200, solvers):
     with pytest.raises(DomainError):
         heat_time_derivative(solvers["circle200"], field(circle200, np.zeros(200)), 0.0)
+
+
+# -- flow memo ----------------------------------------------------------------
+
+
+@pytest.fixture
+def computed_flows(monkeypatch):
+    """Counts flows actually computed: every computed flow projects once."""
+    calls = []
+    project = SpectralSolver.project
+
+    def counting(self, values):
+        calls.append(1)
+        return project(self, values)
+
+    monkeypatch.setattr(SpectralSolver, "project", counting)
+    return calls
+
+
+def test_harnack_scan_flows_each_time_once(circle200, computed_flows):
+    solver = build_solver(circle200)
+    f = field(circle200, 2.0 + np.cos(circle200.nodes))
+    nodes = [0, 50, 100, 150]
+    harnack_scan(solver, f, nodes, nodes, [(0.25, 0.75), (0.5, 1.0)], CurvatureDimension(0.0, 1.0))
+    assert len(computed_flows) == 4  # 64 without the memo
+
+
+def test_kernel_corollary_flows_twice(circle200, computed_flows):
+    solver = build_solver(circle200)
+    kernel_corollary_suite(solver, 40, CurvatureDimension(0.0, 1.0), [0.5])
+    assert len(computed_flows) == 2  # 130 without the memo
+
+
+def test_memo_hit_is_bitwise_a_fresh_flow(circle200, computed_flows):
+    solver = build_solver(circle200)
+    f = field(circle200, 2.0 + np.sin(3.0 * circle200.nodes))
+    first = heat_apply(solver, f, 0.3)
+    hit = heat_apply(solver, f, 0.3)
+    assert len(computed_flows) == 1
+    fresh = heat_apply(build_solver(circle200), f, 0.3)
+    assert hit.values.tobytes() == first.values.tobytes() == fresh.values.tobytes()
+    assert not hit.values.flags.writeable
+    with pytest.raises(ValueError):
+        hit.values[0] = 0.0
+
+
+def test_memo_is_bounded_and_recomputes_evicted_flows(computed_flows):
+    n = 40
+    space = build_circle(n, TWO_PI)
+    solver = build_solver(space)
+    f = field(space, 2.0 + np.cos(space.nodes))
+    times = np.linspace(0.01, 1.0, 3 * n)
+    first = heat_apply(solver, f, times[0]).values.tobytes()
+    for t in times:
+        heat_apply(solver, f, t)
+        assert len(solver._flows) <= n // 2
+    before = len(computed_flows)
+    assert heat_apply(solver, f, times[0]).values.tobytes() == first
+    assert len(computed_flows) == before + 1  # evicted, so flowed again
+
+
+def test_fields_one_ulp_apart_are_distinct_keys(circle200, computed_flows):
+    solver = build_solver(circle200)
+    values = 2.0 + np.cos(circle200.nodes)
+    nudged = values.copy()
+    nudged[7] = np.nextafter(nudged[7], np.inf)
+    f, g = field(circle200, values), field(circle200, nudged)
+    heat_apply(solver, f, 0.5)
+    flowed = heat_apply(solver, g, 0.5)
+    assert len(computed_flows) == 2
+    fresh = heat_apply(build_solver(circle200), g, 0.5)
+    assert flowed.values.tobytes() == fresh.values.tobytes()
 
 
 # -- analytic kernel oracle --------------------------------------------------

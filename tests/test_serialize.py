@@ -40,6 +40,35 @@ def test_field_and_margin_csv(tmp_path, circle200, solvers):
     assert header == "x,margin"
 
 
+_EDGE_VALUES = [-0.0, 5e-324, 1e-300, 0.1 + 0.2, -1.5, 1.7976931348623157e308]
+
+
+def _old_rows(xs, vs, prefix=""):
+    return [f"{prefix}{float(x)!r},{float(v)!r}" for x, v in zip(xs, vs)]
+
+
+def test_node_indexed_csvs_pin_repr_bytes(tmp_path):
+    space = build_circle(6, 2 * math.pi)
+    assert space.nodes[0] == 0.0
+    f = field(space, _EDGE_VALUES)
+    expected = _old_rows(space.nodes, f.values)
+    field_to_csv(f, tmp_path / "field.csv")
+    assert (tmp_path / "field.csv").read_bytes() == "\n".join(["x,value", *expected]).encode() + b"\n"
+    assert expected[0] == "0.0,-0.0" and expected[1].endswith(",5e-324")
+
+    rep = make_report("li-yau", {}, 0.0, 1e-6, margin_field=f)
+    margins_to_csv(rep, tmp_path / "margins.csv")
+    assert (tmp_path / "margins.csv").read_bytes() == "\n".join(["x,margin", *expected]).encode() + b"\n"
+
+    mu0 = measure_from_masses(space, [0.1, 0.0, 0.3, 0.1, 0.0, 0.5])
+    mu1 = measure_from_masses(space, [0.0, 0.2, 0.2, 0.0, 0.6, 0.0])
+    path = displacement_interpolation(space, mu0, mu1, (0.0, 0.1 + 0.2, 1.0))
+    interpolation_to_csv(path, tmp_path / "slices.csv")
+    rows = [row for t, mu in zip(path.times, path.measures)
+            for row in _old_rows(space.nodes, mu.density(), f"{float(t)!r},")]
+    assert (tmp_path / "slices.csv").read_bytes() == "\n".join(["t,x,density", *rows]).encode() + b"\n"
+
+
 def test_plan_and_interpolation_csv(tmp_path):
     space = build_circle(24, 2 * math.pi)
     rng = np.random.default_rng(1)
