@@ -1,7 +1,8 @@
 """Heat semigroup evaluation via spectral decomposition.
 
 The generator is m-self-adjoint, so the similarity transform
-D^{1/2} L D^{-1/2} (D = diag(m)) is symmetric, tridiagonal on intervals, and one
+D^{1/2} L D^{-1/2} (D = diag(m)) is symmetric: tridiagonal on intervals, and
+circulant on circles, whose Fourier eigenbasis is known in closed form.  One
 eigendecomposition gives the semigroup at arbitrary times with no
 time-stepping error: the semigroup law, mass conservation and the maximum
 principle then hold to roundoff.  Intended for desk scale (n up to ~2000).
@@ -25,8 +26,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .calculus import ScalarField, _laplacian_values, _same_space, _stiffness_bands, _stiffness_matrix
-from .errors import DomainError, NumericalError
+from .calculus import ScalarField, _laplacian_values, _same_space, _stiffness_bands
+from .errors import DomainError, InvalidGeometryError, NumericalError
 from .space import ModelSpace
 
 
@@ -84,25 +85,44 @@ def time_resolution_floor(space: ModelSpace) -> float:
     return space.spacing**2
 
 
+def _circulant_eigh(space: ModelSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigenpairs of a circle's circulant symmetrized generator (Davis,
+    *Circulant Matrices*, 1979), lambda_k = -4 (c/m) sin^2(pi k / n), in unit columns:
+    constant, sqrt(2) cos/sin pairs for k = 1 .. (n-1)//2, and (-1)^j if n is even."""
+    n, m, c = space.n_nodes, space.measure, space.edge_weights / space.spacing
+    if np.any(m != m[0]) or np.any(c != c[0]):
+        raise InvalidGeometryError(f"{space.model_id}: a circle needs uniform measure and edge weights")
+    pairs = np.arange(1, (n + 1) // 2)
+    # Angles 2 pi ((j k) mod n) / n, with j k mod n in exact integer arithmetic.
+    phase = np.outer(np.arange(n), pairs) % n
+    angle = 2.0 * math.pi * np.arange(n) / n
+    vecs = np.ones((n, n))
+    vecs[:, 1 : 2 * pairs.size : 2] = math.sqrt(2.0) * np.cos(angle)[phase]
+    vecs[:, 2 : 2 * pairs.size + 1 : 2] = math.sqrt(2.0) * np.sin(angle)[phase]
+    if n % 2 == 0:
+        vecs[:, -1] = (-1.0) ** np.arange(n)
+    k = np.concatenate(([0], np.repeat(pairs, 2), [n // 2] * (1 - n % 2)))
+    return -4.0 * (c[0] / m[0]) * np.sin(math.pi * k / n) ** 2, vecs / math.sqrt(n)
+
+
 def build_solver(space: ModelSpace) -> SpectralSolver:
-    """Symmetric eigendecomposition of the generator: tridiagonal on intervals,
-    dense on circles, whose wrap edge breaks the tridiagonal form.
+    """Symmetric eigendecomposition of the generator: closed-form circulant
+    basis on circles, tridiagonal eigensolver on intervals.
 
     Deterministic for a fixed space: eigenvalues sorted nonincreasing, each
     eigenfield's largest-magnitude entry made positive, and the constant mode
-    pinned exactly to (0, 1).
+    pinned exactly to (0, 1).  A non-uniform (hand-built) circle is rejected.
     """
     n = space.n_nodes
     inv_sqrt_m = 1.0 / np.sqrt(space.measure)
     try:
         if space.is_circle:
-            sym = _stiffness_matrix(space) * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
-            vals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
+            vals, vecs = _circulant_eigh(space)
         else:
             d, c = _stiffness_bands(space)
             off = c[:-1] * inv_sqrt_m[:-1] * inv_sqrt_m[1:]
             vals, vecs = eigh_tridiagonal(d / space.measure, off)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - symmetric eigensolvers are robust
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - tridiagonal eigensolvers are robust
         raise NumericalError(f"eigendecomposition failed on {space.model_id}: {exc}") from exc
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]

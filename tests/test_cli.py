@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import heatlab
 from heatlab import inequalities as iq
-from heatlab.cli import Scenario, list_models_text, main, run_scenario
+from heatlab.cli import CHECKS, Scenario, list_models_text, main, run_scenario
 from heatlab.errors import ScenarioError
 from heatlab.heat import build_solver
 from heatlab.profiles import build_fields
@@ -231,6 +232,41 @@ def _mutated_scenarios(draw, sweep=False, params_only=False):
     return scenario
 
 
+def _is_optional_param(scenario, path):
+    """Whether ``path`` names a check param whose adapter gives it a default."""
+    if len(path) != 4:
+        return False
+    adapter = CHECKS[scenario["checks"][path[1]]["name"]]
+    return inspect.signature(adapter).parameters[path[3]].default is not inspect.Parameter.empty
+
+
+@st.composite
+def _numeric_param_mutations(draw):
+    """Mutations below checks[k].params that keep each param's type: zero or
+    negate a number, scale a float, or drop an optional param."""
+    scenario = _small_scenario(draw(st.lists(st.sampled_from(_CHECK_NAMES), min_size=2,
+                                             max_size=3, unique=True)))
+    for _ in range(draw(st.integers(1, 3))):
+        sites = [(path, value) for path, value in _mutation_sites(scenario)
+                 if _is_check_param(path) and (isinstance(value, (int, float))
+                                               or _is_optional_param(scenario, path))]
+        path, value = draw(st.sampled_from(sites))
+        parent = scenario
+        for key in path[:-1]:
+            parent = parent[key]
+        kinds = ["drop"] if _is_optional_param(scenario, path) else []
+        if isinstance(value, (int, float)):
+            kinds += ["zero", "negative"] + (["scale"] if isinstance(value, float) else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "scale":
+            parent[path[-1]] = value * draw(st.sampled_from([1e3, -1e3]))
+        else:
+            parent[path[-1]] = type(value)(0) if kind == "zero" else -value
+    return scenario
+
+
 def _run_mutated(command, scenario, *extra):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.json"
@@ -249,6 +285,14 @@ def test_mutated_scenarios_never_raise(scenario):
 def test_mutated_check_params_never_raise(scenario):
     # Sites only below checks[k].params, so most examples reach a check
     # instead of stopping at load on a broken model, field or check object.
+    assert _run_mutated("run", scenario) in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_numeric_param_mutations())
+def test_mutated_numeric_check_params_never_raise(scenario):
+    # Every mutation keeps the param's type, so the schema accepts it and the
+    # example reaches its checks' own domain and precondition errors.
     assert _run_mutated("run", scenario) in (0, 1, 2)
 
 

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from heatlab import (
     build_circle,
@@ -17,8 +19,8 @@ from heatlab import (
     heat_time_derivative,
     laplacian,
 )
-from heatlab.calculus import laplacian_matrix
-from heatlab.errors import DomainError
+from heatlab.calculus import _stiffness_matrix, laplacian_matrix
+from heatlab.errors import DomainError, InvalidGeometryError
 from heatlab.heat import (
     ResolutionWarning,
     SpectralSolver,
@@ -77,9 +79,9 @@ def test_solver_is_deterministic(circle200):
     assert np.array_equal(a.eigenfields, b.eigenfields)
 
 
-def _loop_assembled_dense_solver(space):
-    """Frozen reference: the per-edge loop assembly and dense eigh that
-    build_solver used for every topology before the tridiagonal path."""
+def _loop_assembled_stiffness(space):
+    """Frozen reference: the per-edge loop assembly of S (L = diag(m)^{-1} S)
+    that build_solver used for every topology before the tridiagonal path."""
     n = space.n_nodes
     cond = space.edge_weights / space.spacing
     s = np.zeros((n, n))
@@ -89,44 +91,20 @@ def _loop_assembled_dense_solver(space):
         s[j, j] -= cond[e]
         s[i, j] += cond[e]
         s[j, i] += cond[e]
-    inv_sqrt_m = 1.0 / np.sqrt(space.measure)
-    sym = s * inv_sqrt_m[:, None] * inv_sqrt_m[None, :]
-    sym = 0.5 * (sym + sym.T)
-    vals, vecs = np.linalg.eigh(sym)
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    fields = vecs[:, order] * inv_sqrt_m[:, None]
-    for k in range(n):
-        col = fields[:, k]
-        if col[np.argmax(np.abs(col))] < 0:
-            fields[:, k] = -col
-    vals[0] = 0.0
-    fields[:, 0] = 1.0
-    overlap = space.measure @ fields[:, 1:]
-    fields[:, 1:] -= overlap[None, :]
-    return vals, fields
+    return s
 
 
 @pytest.mark.parametrize("space", [build_circle(200, TWO_PI), build_circle(57, 3.0)])
-def test_circle_solver_is_bit_identical_to_loop_assembly(space):
-    vals, fields = _loop_assembled_dense_solver(space)
-    solver = build_solver(space)
-    assert np.array_equal(solver.eigenvalues, vals)
-    assert np.array_equal(solver.eigenfields, fields)
+def test_circle_stiffness_is_bit_identical_to_loop_assembly(space):
+    # laplacian_matrix, the dense oracle below, is built on this assembly.
+    assert np.array_equal(_stiffness_matrix(space), _loop_assembled_stiffness(space))
 
 
-INTERVAL_MODELS = {
-    "interval": lambda n: build_interval(n, 1.0),
-    "sphere": lambda n: build_sphere_model(n, 2.0),
-    "hyperbolic": lambda n: build_hyperbolic_model(n, 2.0, 1.0),
-}
-
-
-@pytest.mark.parametrize("n", [50, 400, 1000])
-@pytest.mark.parametrize("model", sorted(INTERVAL_MODELS))
-def test_tridiagonal_solver_matches_dense_oracle(model, n):
-    space = INTERVAL_MODELS[model](n)
-    m = space.measure
+def _assert_matches_dense_oracle(space, apply_tol):
+    """build_solver against np.linalg.eigh of the symmetrized laplacian_matrix:
+    eigenvalues to 1e-13 x the spectral radius, heat_apply to ``apply_tol``,
+    m-weighted residual and orthonormality <= 1e-12, an exact constant mode."""
+    n, m = space.n_nodes, space.measure
     lap = laplacian_matrix(space)
     sqrt_m = np.sqrt(m)
     sym = sqrt_m[:, None] * lap / sqrt_m[None, :]
@@ -144,7 +122,7 @@ def test_tridiagonal_solver_matches_dense_oracle(model, n):
     f = field(space, smooth_random_values(space, rng))
     for t in (1e-3, 0.1, 1.0):
         expected = oracle_fields @ (np.exp(oracle_vals * t) * (oracle_fields.T @ (m * f.values)))
-        assert np.max(np.abs(heat_apply(solver, f, t).values - expected)) <= 1e-10
+        assert np.max(np.abs(heat_apply(solver, f, t).values - expected)) <= apply_tol
 
     residual = lap @ fields - fields * vals[None, :]
     assert np.sqrt(np.max(m @ residual**2)) / radius <= 1e-12
@@ -152,6 +130,73 @@ def test_tridiagonal_solver_matches_dense_oracle(model, n):
     assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
     assert vals[0] == 0.0
     assert np.array_equal(fields[:, 0], np.ones(n))
+
+
+INTERVAL_MODELS = {
+    "interval": lambda n: build_interval(n, 1.0),
+    "sphere": lambda n: build_sphere_model(n, 2.0),
+    "hyperbolic": lambda n: build_hyperbolic_model(n, 2.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("n", [50, 400, 1000])
+@pytest.mark.parametrize("model", sorted(INTERVAL_MODELS))
+def test_tridiagonal_solver_matches_dense_oracle(model, n):
+    _assert_matches_dense_oracle(INTERVAL_MODELS[model](n), apply_tol=1e-10)
+
+
+@pytest.mark.parametrize("n", [50, 57, 400, 401, 1000])
+def test_circle_solver_matches_dense_oracle(n):
+    # The oracle's eigenvalues are only good to ~eps x the spectral radius: at
+    # n = 1000 and t = 1 its flow is 1.3e-12 off an extended-precision flow of
+    # the circulant, against 4e-16 for the closed form, so 1e-11 here; the
+    # exactness test below holds the closed form to 1e-14.
+    _assert_matches_dense_oracle(build_circle(n, TWO_PI), apply_tol=1e-11)
+
+
+@pytest.mark.parametrize("n", [200, 1000, 1400])
+def test_circle_closed_form_is_exact_to_roundoff(n):
+    space = build_circle(n, TWO_PI)
+    solver = build_solver(space)
+    fields, vals = solver.eigenfields, solver.eigenvalues
+    rate = space.edge_weights[0] / space.spacing / space.measure[0]
+    # Every eigenpair solves the circle stencil to roundoff (about 1e-15 x the
+    # spectral radius); angles 2 pi j k / n taken in floats instead of from
+    # j k mod n lose about eps j k, which reads 6e-13 at n = 1400.
+    stencil = rate * (np.roll(fields, -1, axis=0) - 2.0 * fields + np.roll(fields, 1, axis=0))
+    assert np.max(np.abs(stencil - fields * vals)) <= 1e-14 * np.max(np.abs(vals))
+    # cos(2 pi k j / n) is an eigenfield with lambda_k = -4 (c/m) sin^2(pi k / n),
+    # so 2 + cos flows to 2 + e^{lambda_k t} cos exactly; a dense eigh of the
+    # circulant misses this by up to 6e-12 at n = 1400.
+    j = np.arange(n)
+    for k in (1, 3, 17):
+        wave = np.cos(2 * np.pi * ((k * j) % n) / n)
+        lam = -4.0 * rate * math.sin(math.pi * k / n) ** 2
+        for t in (0.25, 0.5, 1.0):
+            out = heat_apply(solver, field(space, 2.0 + wave), t).values
+            assert np.max(np.abs(out - (2.0 + math.exp(lam * t) * wave))) <= 1e-14
+
+
+@pytest.mark.parametrize("attr", ["measure", "edge_weights"])
+def test_nonuniform_circle_is_rejected(attr):
+    space = build_circle(60, TWO_PI)
+    values = getattr(space, attr).copy()
+    values[7] *= 1.0 + 1e-9
+    if attr == "measure":
+        values /= values.sum()
+    with pytest.raises(InvalidGeometryError):
+        build_solver(dataclasses.replace(space, **{attr: values}))
+
+
+def test_no_builder_needs_a_dense_eigensolver(monkeypatch):
+    def dense_eigh(*args, **kwargs):
+        raise AssertionError("dense eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", dense_eigh)
+    monkeypatch.setattr(scipy.linalg, "eigh", dense_eigh)
+    for space in (build_circle(64, TWO_PI), build_interval(64, 1.0),
+                  build_sphere_model(64, 2.0), build_hyperbolic_model(64, 2.0, 1.0)):
+        assert build_solver(space).eigenvalues[0] == 0.0
 
 
 # -- semigroup ---------------------------------------------------------------
