@@ -687,7 +687,7 @@ def kernel_corollary_suite(
         if t / 2.0 <= t0:
             raise DomainError(f"kernel corollary item (iv) needs t/2 > warm-up {t0:g}")
     kernel = heat_kernel(solver, x, t0)
-    # Spectral truncation can leave ~1e-9 negative dust at the warm-up time.
+    # A full basis's spectral kernel dips to about -2e-13 here; the stencil kernel stays >= 0.
     f = ScalarField(np.clip(kernel.values, 0.0, None), space)
     reports: list[InequalityReport] = []
     scan_nodes = [int(i) for i in np.linspace(0, space.n_nodes - 1, 8, dtype=int)]

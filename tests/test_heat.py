@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,10 +26,14 @@ from heatlab.errors import DomainError, InvalidGeometryError
 from heatlab.heat import (
     ResolutionWarning,
     SpectralSolver,
+    _hold_modes,
+    _kept,
     laplacian_consistency_error,
+    spectral_laplacian,
     time_resolution_floor,
 )
 from heatlab.inequalities import harnack_scan, kernel_corollary_suite
+from heatlab.serialize import spectrum_to_csv
 from heatlab.space import CurvatureDimension
 
 from conftest import smooth_random_values
@@ -100,36 +106,53 @@ def test_circle_stiffness_is_bit_identical_to_loop_assembly(space):
     assert np.array_equal(_stiffness_matrix(space), _loop_assembled_stiffness(space))
 
 
-def _assert_matches_dense_oracle(space, apply_tol):
-    """build_solver against np.linalg.eigh of the symmetrized laplacian_matrix:
-    eigenvalues to 1e-13 x the spectral radius, heat_apply to ``apply_tol``,
-    m-weighted residual and orthonormality <= 1e-12, an exact constant mode."""
-    n, m = space.n_nodes, space.measure
+def _dense_oracle(space):
+    """np.linalg.eigh of the symmetrized laplacian_matrix: eigenvalues ascending,
+    m-orthonormal eigenfields."""
     lap = laplacian_matrix(space)
-    sqrt_m = np.sqrt(m)
+    sqrt_m = np.sqrt(space.measure)
     sym = sqrt_m[:, None] * lap / sqrt_m[None, :]
-    oracle_vals, oracle_vecs = np.linalg.eigh(0.5 * (sym + sym.T))
-    oracle_fields = oracle_vecs / sqrt_m[:, None]
-    solver = build_solver(space)
-    vals, fields = solver.eigenvalues, solver.eigenfields
-    radius = float(np.max(np.abs(oracle_vals)))
+    vals, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
+    return lap, vals, vecs / sqrt_m[:, None]
 
-    assert np.max(np.abs(vals - oracle_vals[::-1])) <= 1e-13 * radius
+
+def _assert_modes_match(solver, lap, oracle_vals, radius):
+    """The held modes against the oracle's leading ones: eigenvalues to 1e-13 x
+    the spectral radius, m-weighted residual and orthonormality <= 1e-12, an
+    exact constant mode."""
+    m = solver.space.measure
+    vals, fields = solver.eigenvalues, solver.eigenfields
+    assert np.max(np.abs(vals - oracle_vals[::-1][: vals.size])) <= 1e-13 * radius
+    residual = lap @ fields - fields * vals[None, :]
+    assert np.sqrt(np.max(m @ residual**2)) / radius <= 1e-12
+    gram = fields.T @ (m[:, None] * fields)
+    assert np.max(np.abs(gram - np.eye(vals.size))) <= 1e-12
+    assert vals[0] == 0.0
+    assert np.array_equal(fields[:, 0], np.ones(solver.space.n_nodes))
+
+
+def _assert_matches_dense_oracle(space, apply_tol):
+    """build_solver against the dense oracle: its held modes, and every mode once
+    it is asked for all of them (``_assert_modes_match``); heat_apply to ``apply_tol``."""
+    n, m = space.n_nodes, space.measure
+    lap, oracle_vals, oracle_fields = _dense_oracle(space)
+    radius = float(np.max(np.abs(oracle_vals)))
+    solver = build_solver(space)
+    assert solver.eigenvalues.size == (n if n <= 256 else 32)
+    _assert_modes_match(solver, lap, oracle_vals, radius)
+
     # L 1 = 0 exactly; eigh only finds the top eigenvalue to ~eps * radius,
     # which at t = 1 would shift the oracle flow by that much times sup f.
-    oracle_vals[-1] = 0.0
+    oracle_vals = np.concatenate((oracle_vals[:-1], [0.0]))
     rng = np.random.default_rng(n)
     f = field(space, smooth_random_values(space, rng))
     for t in (1e-3, 0.1, 1.0):
         expected = oracle_fields @ (np.exp(oracle_vals * t) * (oracle_fields.T @ (m * f.values)))
         assert np.max(np.abs(heat_apply(solver, f, t).values - expected)) <= apply_tol
 
-    residual = lap @ fields - fields * vals[None, :]
-    assert np.sqrt(np.max(m @ residual**2)) / radius <= 1e-12
-    gram = fields.T @ (m[:, None] * fields)
-    assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
-    assert vals[0] == 0.0
-    assert np.array_equal(fields[:, 0], np.ones(n))
+    _hold_modes(solver, n)
+    assert solver.eigenvalues.size == n
+    _assert_modes_match(solver, lap, oracle_vals, radius)
 
 
 INTERVAL_MODELS = {
@@ -137,12 +160,18 @@ INTERVAL_MODELS = {
     "sphere": lambda n: build_sphere_model(n, 2.0),
     "hyperbolic": lambda n: build_hyperbolic_model(n, 2.0, 1.0),
 }
+MODELS = dict(INTERVAL_MODELS, circle=lambda n: build_circle(n, TWO_PI))
+
+
+@functools.cache
+def _model(name, n):
+    return MODELS[name](n)
 
 
 @pytest.mark.parametrize("n", [50, 400, 1000])
 @pytest.mark.parametrize("model", sorted(INTERVAL_MODELS))
 def test_tridiagonal_solver_matches_dense_oracle(model, n):
-    _assert_matches_dense_oracle(INTERVAL_MODELS[model](n), apply_tol=1e-10)
+    _assert_matches_dense_oracle(_model(model, n), apply_tol=1e-10)
 
 
 @pytest.mark.parametrize("n", [50, 57, 400, 401, 1000])
@@ -151,24 +180,50 @@ def test_circle_solver_matches_dense_oracle(n):
     # n = 1000 and t = 1 its flow is 1.3e-12 off an extended-precision flow of
     # the circulant, against 4e-16 for the closed form, so 1e-11 here; the
     # exactness test below holds the closed form to 1e-14.
-    _assert_matches_dense_oracle(build_circle(n, TWO_PI), apply_tol=1e-11)
+    _assert_matches_dense_oracle(_model("circle", n), apply_tol=1e-11)
+
+
+@pytest.mark.parametrize("n", [50, 57, 400, 1000, 1400])
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_flows_match_dense_oracle(model, n):
+    # A fresh solver per time, so that each time meets the held floor of modes
+    # and the re-solve, if it needs one, on its own.
+    space = _model(model, n)
+    m = space.measure
+    _, oracle_vals, oracle_fields = _dense_oracle(space)
+    oracle_vals = np.concatenate((oracle_vals[:-1], [0.0]))
+    f = field(space, smooth_random_values(space, np.random.default_rng(n + 1)))
+    coef = oracle_fields.T @ (m * f.values)
+    for t in (1e-3, 0.2, 1.0, 2.5):
+        expected = oracle_fields @ (np.exp(oracle_vals * t) * coef)
+        assert np.max(np.abs(heat_apply(build_solver(space), f, t).values - expected)) <= 1e-11
 
 
 @pytest.mark.parametrize("n", [200, 1000, 1400])
 def test_circle_closed_form_is_exact_to_roundoff(n):
     space = build_circle(n, TWO_PI)
     solver = build_solver(space)
-    fields, vals = solver.eigenfields, solver.eigenvalues
     rate = space.edge_weights[0] / space.spacing / space.measure[0]
-    # Every eigenpair solves the circle stencil to roundoff (about 1e-15 x the
-    # spectral radius); angles 2 pi j k / n taken in floats instead of from
-    # j k mod n lose about eps j k, which reads 6e-13 at n = 1400.
-    stencil = rate * (np.roll(fields, -1, axis=0) - 2.0 * fields + np.roll(fields, 1, axis=0))
-    assert np.max(np.abs(stencil - fields * vals)) <= 1e-14 * np.max(np.abs(vals))
+    radius = 4.0 * rate * math.sin(math.pi * (n // 2) / n) ** 2
+
+    def stencil_defect():
+        # Every eigenpair solves the circle stencil to roundoff (about 1e-15 x the
+        # spectral radius); angles 2 pi j k / n taken in floats instead of from
+        # j k mod n lose about eps j k, which reads 6e-13 at n = 1400.
+        fields, vals = solver.eigenfields, solver.eigenvalues
+        stencil = rate * (np.roll(fields, -1, axis=0) - 2.0 * fields + np.roll(fields, 1, axis=0))
+        return np.max(np.abs(stencil - fields * vals))
+
+    assert stencil_defect() <= 1e-14 * radius  # the held modes
+    _hold_modes(solver, n)
+    assert solver.eigenvalues.size == n
+    assert np.max(np.abs(solver.eigenvalues)) == pytest.approx(radius, rel=1e-15)
+    assert stencil_defect() <= 1e-14 * radius  # every mode
     # cos(2 pi k j / n) is an eigenfield with lambda_k = -4 (c/m) sin^2(pi k / n),
     # so 2 + cos flows to 2 + e^{lambda_k t} cos exactly; a dense eigh of the
     # circulant misses this by up to 6e-12 at n = 1400.
     j = np.arange(n)
+    solver = build_solver(space)
     for k in (1, 3, 17):
         wave = np.cos(2 * np.pi * ((k * j) % n) / n)
         lam = -4.0 * rate * math.sin(math.pi * k / n) ** 2
@@ -320,18 +375,115 @@ def test_kernel_positivity_holds_even_below_resolution(circle200, solvers):
 def test_kernel_resolution_warning_mechanism():
     # A hand-built non-Markov eigensystem produces genuine negative density,
     # which must warn rather than fail.
+    fake = _fake_three_mode_solver()
+    with pytest.warns(ResolutionWarning):
+        p = heat_kernel(fake, 0, 0.1)
+    assert p.values.min() < -1e-12
+
+
+def _fake_three_mode_solver():
     space = build_interval(3, 1.0)
     basis = np.column_stack([
         np.ones(3),
         math.sqrt(1.5) * np.array([1.0, -1.0, 0.0]),
         math.sqrt(0.5) * np.array([1.0, 1.0, -2.0]),
     ])
-    fake = SpectralSolver(
-        space=space, eigenvalues=np.array([0.0, -1.0, -5.0]), eigenfields=basis
-    )
-    with pytest.warns(ResolutionWarning):
-        p = heat_kernel(fake, 0, 0.1)
-    assert p.values.min() < -1e-12
+    return SpectralSolver(space=space, eigenvalues=np.array([0.0, -1.0, -5.0]), eigenfields=basis)
+
+
+def test_hand_built_three_mode_solver_flows():
+    fake = _fake_three_mode_solver()
+    values = np.array([1.0, 2.0, 4.0])
+    basis, m = fake.eigenfields, fake.space.measure
+    expected = basis @ (np.exp(fake.eigenvalues * 0.3) * (basis.T @ (m * values)))
+    out = heat_apply(fake, field(fake.space, values), 0.3).values
+    assert np.max(np.abs(out - expected)) <= 1e-15
+    assert fake.eigenvalues.size == 3
+
+
+# -- held modes ----------------------------------------------------------------
+
+
+SCENARIO_MODELS = ("sphere", "hyperbolic", "circle")
+
+
+@pytest.mark.parametrize("model", SCENARIO_MODELS)
+def test_first_dropped_mode_flows_below_the_tail_bound(model):
+    space = _model(model, 1400)
+    solver = build_solver(space)
+    scale = space.n_nodes * (1.0 + solver._rho) / math.sqrt(space.measure.min())
+    for power in (0, 1):  # heat_apply, heat_time_derivative
+        for t in (0.05, 0.2, 1.0, 2.5):
+            k = _kept(solver, t, power)
+            assert 0 < k < solver.eigenvalues.size  # the held modes reach past the cut
+            # The cut bounds the extra |lambda| of the derivative by rho.
+            lam, factor = solver.eigenvalues[k], solver._rho**power
+            assert factor * math.exp(lam * t) * scale <= 2.0**-60
+            weight = abs(lam) ** power * math.exp(lam * t)
+            # A unit coefficient on mode k flows, even through a stencil, to a
+            # sup norm below 2^-60 of its data's sup norm.
+            mode = solver.eigenfields[:, k]
+            assert weight * (1.0 + solver._rho) * np.max(np.abs(mode)) <= 2.0**-60 * np.max(np.abs(mode))
+            lam_kept = solver.eigenvalues[k - 1]
+            assert factor * math.exp(lam_kept * t) * scale > 2.0**-60
+            # heat_apply drops the mode: 1 + e_k flows to 1 up to projection roundoff.
+            flowed = heat_apply(solver, field(space, 1.0 + mode), t).values
+            assert np.max(np.abs(flowed - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [400, 1000, 1400])
+@pytest.mark.parametrize("model", SCENARIO_MODELS)
+def test_stencil_kernel_matches_the_full_spectral_kernel(model, n):
+    space = _model(model, n)
+    partial, full = build_solver(space), build_solver(space)
+    _hold_modes(full, n)
+    t0 = 5.0 * space.spacing**2  # kernel_corollary_suite's warm-up
+    for x in (0, n // 3, n - 1):
+        warm = heat_kernel(partial, x, t0).values
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResolutionWarning)
+            spectral = heat_kernel(full, x, t0).values
+        assert np.max(np.abs(warm - spectral)) <= 1e-12 * np.max(np.abs(spectral))
+        assert warm.min() >= 0.0
+    assert partial.eigenvalues.size == 32  # the kernel never re-solves
+
+
+def test_heat_apply_at_time_zero_is_the_field_itself(computed_flows):
+    space = _model("sphere", 1000)
+    solver = build_solver(space)
+    f = field(space, smooth_random_values(space, np.random.default_rng(3)))
+    assert heat_apply(solver, f, 0.0) is f
+    assert not computed_flows
+    assert solver.eigenvalues.size == 32
+
+
+@pytest.mark.parametrize("model", SCENARIO_MODELS)
+def test_time_derivative_on_held_modes_matches_the_full_basis(model):
+    space = _model(model, 1000)
+    partial, full = build_solver(space), build_solver(space)
+    _hold_modes(full, space.n_nodes)
+    f = field(space, smooth_random_values(space, np.random.default_rng(9)))
+    for t in (0.05, 0.2, 1.0):
+        held = heat_time_derivative(partial, f, t).values
+        expected = heat_time_derivative(full, f, t).values
+        assert np.max(np.abs(held - expected)) <= 1e-11
+    assert partial.eigenvalues.size < space.n_nodes
+
+
+def test_full_spectrum_consumers_ask_for_every_mode(tmp_path):
+    space = _model("hyperbolic", 1000)
+    f = field(space, smooth_random_values(space, np.random.default_rng(1)))
+    for consume in (
+        lambda solver: spectral_laplacian(solver, f),
+        lambda solver: laplacian_consistency_error(solver, f),
+        lambda solver: spectrum_to_csv(solver, tmp_path / "spectrum.csv"),
+    ):
+        solver = build_solver(space)
+        assert solver.eigenvalues.size == 32
+        consume(solver)
+        assert solver.eigenvalues.size == space.n_nodes
+    assert len((tmp_path / "spectrum.csv").read_text().splitlines()) == space.n_nodes + 1
+    assert laplacian_consistency_error(build_solver(space), f) <= 1e-10
 
 
 # -- time derivative ---------------------------------------------------------
