@@ -27,7 +27,6 @@ from .calculus import (
     weighted_gradient_log,
 )
 from .heat import (
-    HeatKernelField,
     SpectralSolver,
     build_solver,
     gaussian_kernel_oracle,

@@ -21,7 +21,7 @@ from .errors import (
     InvalidPathError,
     PreconditionError,
 )
-from .space import CurvatureDimension, ModelSpace
+from .space import CurvatureDimension, ModelSpace, _freeze_arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,9 +32,7 @@ class ScalarField:
     space: ModelSpace
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        (values,) = _freeze_arrays(self, values=float)
         if values.shape != (self.space.n_nodes,):
             raise DimensionMismatchError(
                 f"field has {values.shape} values for a space with {self.space.n_nodes} nodes"
@@ -55,9 +53,7 @@ class EdgeField:
     space: ModelSpace
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        (values,) = _freeze_arrays(self, values=float)
         if values.shape != (self.space.n_edges,):
             raise DimensionMismatchError(
                 f"edge field has {values.shape} values for a space with {self.space.n_edges} edges"

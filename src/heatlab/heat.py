@@ -14,13 +14,9 @@ e^{lambda_k t} n (1 + rho) / sqrt(min m) <= 2^-60 (rho = max_i 2 |L_ii|, a
 Gershgorin bound), and re-solves once if it keeps every held mode.  Past the
 held modes ``heat_kernel`` takes a Taylor action on the stencil instead.
 
-Each solver memoizes the flows ``heat_apply`` computes, keyed by
-``(float(t), f.values.tobytes())``: checks that flow the same field to the
-same time (the Harnack scans, the kernel corollaries, checks sharing a
-suite) compute it once.  A hit returns the read-only field the first call
-computed, so results are bit-identical with or without the memo.  The memo
-holds at most ``max(1, n // 2)`` flows (n^2 / 2 floats) and drops the oldest
-first.
+A solver keeps no per-call state: every ``heat_apply`` call computes its flow.
+Callers that compare many node pairs at a few times, such as the Harnack scan,
+flow each time once themselves.
 """
 
 from __future__ import annotations
@@ -35,38 +31,41 @@ from scipy.linalg import eigh_tridiagonal
 
 from .calculus import ScalarField, _laplacian_values, _same_space, _stiffness_bands
 from .errors import DomainError, InvalidGeometryError, NumericalError
-from .space import ModelSpace
+from .space import ModelSpace, _freeze_arrays
 
 
 class ResolutionWarning(UserWarning):
     """The requested time is below the grid's diffusive resolution."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class SpectralSolver:
     """The leading K <= n eigenpairs of the generator of a model space.
 
     ``eigenvalues`` are nonincreasing with eigenvalues[0] = 0 exactly and the
     corresponding eigenfield identically 1; columns of ``eigenfields`` are
-    orthonormal w.r.t. the m-weighted inner product.  Flows re-solve in place.
+    orthonormal w.r.t. the m-weighted inner product.  Both are read-only;
+    ``hold`` replaces them when a flow needs more modes.
     """
 
     space: ModelSpace
     eigenvalues: np.ndarray
     eigenfields: np.ndarray
-    _flows: dict = dc_field(default_factory=dict, init=False, repr=False)
     _rho: float = dc_field(init=False, repr=False)
     _tail: float = dc_field(init=False, repr=False)  # log(2^60 n (1 + rho) / sqrt(min m))
 
     def __post_init__(self):
-        for name in ("eigenvalues", "eigenfields"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze_arrays(self, eigenvalues=float, eigenfields=float)
         m = self.space.measure
-        rho = float(np.max(-2.0 * _stiffness_bands(self.space)[0] / m))
-        object.__setattr__(self, "_rho", rho)
-        object.__setattr__(self, "_tail", math.log(2.0**60 * m.size * (1.0 + rho) / math.sqrt(m.min())))
+        self._rho = float(np.max(-2.0 * _stiffness_bands(self.space)[0] / m))
+        self._tail = math.log(2.0**60 * m.size * (1.0 + self._rho) / math.sqrt(m.min()))
+
+    def hold(self, count: int) -> None:
+        """Re-solve in place if the solver holds fewer than min(count, n) modes."""
+        if self.eigenvalues.size < min(count, self.space.n_nodes):
+            self.eigenvalues, self.eigenfields = _eigenpairs(self.space, count)
+            self.eigenvalues.setflags(write=False)
+            self.eigenfields.setflags(write=False)
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Coefficients <f, e_k>_m of a node field on the held modes."""
@@ -74,23 +73,6 @@ class SpectralSolver:
 
     def reconstruct(self, coefficients: np.ndarray) -> np.ndarray:
         return self.eigenfields[:, : coefficients.size] @ coefficients
-
-    @property
-    def spectral_gap(self) -> float:
-        return float(-self.eigenvalues[1])
-
-
-@dataclass(frozen=True, eq=False)
-class HeatKernelField:
-    """Density p(t, x, .) of the heat flow started from a Dirac mass at node x."""
-
-    base_index: int
-    time: float
-    values: np.ndarray
-    space: ModelSpace
-
-    def as_field(self) -> ScalarField:
-        return ScalarField(self.values, self.space)
 
 
 def time_resolution_floor(space: ModelSpace) -> float:
@@ -164,11 +146,9 @@ def build_solver(space: ModelSpace) -> SpectralSolver:
     return SpectralSolver(space, *_eigenpairs(space, min(space.n_nodes, 32)))
 
 
-def _hold_modes(solver: SpectralSolver, count: int) -> None:
-    """Re-solve the solver in place if it holds fewer than min(count, n) modes."""
-    if solver.eigenvalues.size < min(count, solver.space.n_nodes):
-        fresh = SpectralSolver(solver.space, *_eigenpairs(solver.space, count))
-        vars(solver).update(eigenvalues=fresh.eigenvalues, eigenfields=fresh.eigenfields)
+def _unheld_above(solver: SpectralSolver, cut: float) -> bool:
+    """Whether modes the solver does not hold may lie above ``cut``."""
+    return solver.eigenvalues[-1] > cut and solver.eigenvalues.size < solver.space.n_nodes
 
 
 def _kept(solver: SpectralSolver, t: float, power: int = 0) -> int:
@@ -176,42 +156,33 @@ def _kept(solver: SpectralSolver, t: float, power: int = 0) -> int:
     |lambda| <= rho), after one re-solve if unheld modes may lie above it."""
     cut = -(solver._tail + power * math.log(solver._rho)) / t
     space, held = solver.space, solver.eigenvalues
-    if held[-1] > cut and held.size < space.n_nodes:
+    if _unheld_above(solver, cut):
         if space.is_circle:
             above = int(np.count_nonzero(_circulant_eigh(space, 0)[0] > cut))
         else:  # stebz counts by Sturm sequences; tol = rho stops its bisection at once
             above = eigh_tridiagonal(*_tridiagonal(space), eigvals_only=True, select="v",
                                      select_range=(cut, solver._rho), lapack_driver="stebz",
                                      tol=solver._rho).size
-        _hold_modes(solver, max(above, held.size) + 1)
+        solver.hold(max(above, held.size) + 1)
     return int(np.count_nonzero(solver.eigenvalues > cut))
+
+
+def _spectral_flow(solver: SpectralSolver, f: ScalarField, t: float, power: int) -> ScalarField:
+    """sum_k lambda_k^power e^{lambda_k t} <f, e_k>_m e_k over the K(t) modes above
+    the tail cut for that power."""
+    k = _kept(solver, t, power)  # may re-solve, so the eigenvalues are read after it
+    vals = solver.eigenvalues[:k]
+    decayed = vals**power * np.exp(vals * t) * solver.project(f.values)[:k]
+    return ScalarField(solver.reconstruct(decayed), solver.space)
 
 
 def heat_apply(solver: SpectralSolver, f: ScalarField, t: float) -> ScalarField:
     """H_t f = sum_k e^{lambda_k t} <f, e_k>_m e_k for t >= 0, over the K(t)
-    modes above the tail cut; H_0 f is f itself.
-
-    Memoized per solver on ``(float(t), f.values.tobytes())``, at most
-    ``max(1, n // 2)`` flows, oldest dropped first; a hit returns the same
-    read-only field, bit for bit, that the first call computed.
-    """
+    modes above the tail cut; H_0 f is f itself.  Every call computes its flow."""
     if t < 0:
         raise DomainError(f"heat flow time must be nonnegative, got {t}")
     _same_space(solver.space, f)
-    if t == 0:
-        return f
-    key = (float(t), f.values.tobytes())
-    flows = solver._flows
-    hit = flows.get(key)
-    if hit is not None:
-        return hit
-    k = _kept(solver, t)
-    decayed = np.exp(solver.eigenvalues[:k] * t) * solver.project(f.values)[:k]
-    flowed = ScalarField(solver.reconstruct(decayed), solver.space)
-    if len(flows) >= max(1, solver.space.n_nodes // 2):
-        flows.pop(next(iter(flows)), None)
-    flows[key] = flowed
-    return flowed
+    return f if t == 0 else _spectral_flow(solver, f, t, 0)
 
 
 def heat_time_derivative(solver: SpectralSolver, f: ScalarField, t: float) -> ScalarField:
@@ -220,10 +191,7 @@ def heat_time_derivative(solver: SpectralSolver, f: ScalarField, t: float) -> Sc
     if t <= 0:
         raise DomainError(f"heat flow derivative needs t > 0, got {t}")
     _same_space(solver.space, f)
-    k = _kept(solver, t, power=1)
-    vals = solver.eigenvalues[:k]
-    decayed = vals * np.exp(vals * t) * solver.project(f.values)[:k]
-    return ScalarField(solver.reconstruct(decayed), solver.space)
+    return _spectral_flow(solver, f, t, 1)
 
 
 def _stencil_kernel(solver: SpectralSolver, x: int, t: float) -> np.ndarray:
@@ -246,7 +214,7 @@ def _stencil_kernel(solver: SpectralSolver, x: int, t: float) -> np.ndarray:
     return values
 
 
-def heat_kernel(solver: SpectralSolver, x: int, t: float) -> HeatKernelField:
+def heat_kernel(solver: SpectralSolver, x: int, t: float) -> ScalarField:
     """p(t, x, .) = sum_k e^{lambda_k t} e_k(x) e_k(.), the density of H_t(delta_x) w.r.t. m,
     over the held modes; when t needs more modes than a partial basis holds,
     e^{tL}(delta_x / m_x) by a Taylor action on the stencil.
@@ -258,7 +226,7 @@ def heat_kernel(solver: SpectralSolver, x: int, t: float) -> HeatKernelField:
     if t <= 0:
         raise DomainError(f"heat kernel needs t > 0, got {t}")
     x = solver.space.node_index(x)
-    if solver.eigenvalues[-1] > -solver._tail / t and solver.eigenvalues.size < solver.space.n_nodes:
+    if _unheld_above(solver, -solver._tail / t):
         values = _stencil_kernel(solver, x, t)
     else:
         weights = np.exp(solver.eigenvalues * t) * solver.eigenfields[x, :]
@@ -271,13 +239,13 @@ def heat_kernel(solver: SpectralSolver, x: int, t: float) -> HeatKernelField:
             ResolutionWarning,
             stacklevel=2,
         )
-    return HeatKernelField(base_index=x, time=float(t), values=values, space=solver.space)
+    return ScalarField(values, solver.space)
 
 
 def spectral_laplacian(solver: SpectralSolver, f: ScalarField) -> ScalarField:
     """Reconstruct L f from the full eigendecomposition (consistency companion to `laplacian`)."""
     _same_space(solver.space, f)
-    _hold_modes(solver, solver.space.n_nodes)
+    solver.hold(solver.space.n_nodes)
     coef = solver.project(f.values)
     return ScalarField(solver.reconstruct(solver.eigenvalues * coef), solver.space)
 

@@ -11,7 +11,7 @@ import weakref
 from pathlib import Path
 
 from .calculus import ScalarField
-from .heat import SpectralSolver, _hold_modes
+from .heat import SpectralSolver
 from .reports import InequalityReport
 from .transport import InterpolationPath, TransportPlan
 
@@ -53,7 +53,7 @@ def interpolation_to_csv(path_obj: InterpolationPath, path) -> None:
 
 
 def spectrum_to_csv(solver: SpectralSolver, path) -> None:
-    _hold_modes(solver, solver.space.n_nodes)
+    solver.hold(solver.space.n_nodes)
     _write_rows(
         path,
         "k,eigenvalue",

@@ -22,6 +22,17 @@ TOPOLOGY_INTERVAL = "interval-neumann"
 TOPOLOGY_CIRCLE = "circle"
 
 
+def _freeze_arrays(obj, **dtypes) -> tuple[np.ndarray, ...]:
+    """Set each named array attribute of ``obj`` to a read-only copy of the given
+    dtype, and return the copies.  Copying leaves the caller's array writable, and
+    no later write to it (or to the base of a slice it was) reaches the object."""
+    for name, dtype in dtypes.items():
+        arr = np.array(getattr(obj, name), dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+    return tuple(getattr(obj, name) for name in dtypes)
+
+
 @dataclass(frozen=True)
 class CurvatureDimension:
     """Curvature-dimension pair (K, N): K a curvature lower bound, N >= 1 a dimension upper bound."""
@@ -80,14 +91,7 @@ class ModelSpace:
     )
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        measure = np.asarray(self.measure, dtype=float)
-        edge_weights = np.asarray(self.edge_weights, dtype=float)
-        for arr in (nodes, measure, edge_weights):
-            arr.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "measure", measure)
-        object.__setattr__(self, "edge_weights", edge_weights)
+        nodes, measure, edge_weights = _freeze_arrays(self, nodes=float, measure=float, edge_weights=float)
         if self.topology not in (TOPOLOGY_INTERVAL, TOPOLOGY_CIRCLE):
             raise InvalidGeometryError(f"unknown topology {self.topology!r}")
         if nodes.ndim != 1 or nodes.size < 3:

@@ -28,7 +28,7 @@ from .errors import (
 from .heat import SpectralSolver, heat_apply
 from .inequalities import _base_params, _epsilon_for, _harnack_constants, _require_nonnegative
 from .reports import InequalityReport, make_report
-from .space import CurvatureDimension, ModelSpace
+from .space import CurvatureDimension, ModelSpace, _freeze_arrays
 
 _LP_SUPPORT_LIMIT = 400
 
@@ -41,9 +41,7 @@ class DiscreteMeasure:
     space: ModelSpace
 
     def __post_init__(self):
-        masses = np.asarray(self.masses, dtype=float)
-        masses.setflags(write=False)
-        object.__setattr__(self, "masses", masses)
+        (masses,) = _freeze_arrays(self, masses=float)
         if masses.shape != (self.space.n_nodes,):
             raise DimensionMismatchError(
                 f"measure has {masses.shape} masses for a space with {self.space.n_nodes} nodes"
@@ -100,14 +98,7 @@ class TransportPlan:
     cost: float
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=int)
-        cols = np.asarray(self.cols, dtype=int)
-        masses = np.asarray(self.masses, dtype=float)
-        for arr in (rows, cols, masses):
-            arr.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "masses", masses)
+        rows, cols, masses = _freeze_arrays(self, rows=int, cols=int, masses=float)
         if not (rows.shape == cols.shape == masses.shape):
             raise InvalidParameterError("plan triplet arrays must have equal shape")
         if np.any(masses < 0):

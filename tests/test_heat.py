@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +22,12 @@ from heatlab import (
     heat_time_derivative,
     laplacian,
 )
+import heatlab.cli as cli
 from heatlab.calculus import _stiffness_matrix, laplacian_matrix
 from heatlab.errors import DomainError, InvalidGeometryError
 from heatlab.heat import (
     ResolutionWarning,
     SpectralSolver,
-    _hold_modes,
     _kept,
     laplacian_consistency_error,
     spectral_laplacian,
@@ -150,7 +151,7 @@ def _assert_matches_dense_oracle(space, apply_tol):
         expected = oracle_fields @ (np.exp(oracle_vals * t) * (oracle_fields.T @ (m * f.values)))
         assert np.max(np.abs(heat_apply(solver, f, t).values - expected)) <= apply_tol
 
-    _hold_modes(solver, n)
+    solver.hold(n)
     assert solver.eigenvalues.size == n
     _assert_modes_match(solver, lap, oracle_vals, radius)
 
@@ -215,7 +216,7 @@ def test_circle_closed_form_is_exact_to_roundoff(n):
         return np.max(np.abs(stencil - fields * vals))
 
     assert stencil_defect() <= 1e-14 * radius  # the held modes
-    _hold_modes(solver, n)
+    solver.hold(n)
     assert solver.eigenvalues.size == n
     assert np.max(np.abs(solver.eigenvalues)) == pytest.approx(radius, rel=1e-15)
     assert stencil_defect() <= 1e-14 * radius  # every mode
@@ -436,7 +437,7 @@ def test_first_dropped_mode_flows_below_the_tail_bound(model):
 def test_stencil_kernel_matches_the_full_spectral_kernel(model, n):
     space = _model(model, n)
     partial, full = build_solver(space), build_solver(space)
-    _hold_modes(full, n)
+    full.hold(n)
     t0 = 5.0 * space.spacing**2  # kernel_corollary_suite's warm-up
     for x in (0, n // 3, n - 1):
         warm = heat_kernel(partial, x, t0).values
@@ -461,7 +462,7 @@ def test_heat_apply_at_time_zero_is_the_field_itself(computed_flows):
 def test_time_derivative_on_held_modes_matches_the_full_basis(model):
     space = _model(model, 1000)
     partial, full = build_solver(space), build_solver(space)
-    _hold_modes(full, space.n_nodes)
+    full.hold(space.n_nodes)
     f = field(space, smooth_random_values(space, np.random.default_rng(9)))
     for t in (0.05, 0.2, 1.0):
         held = heat_time_derivative(partial, f, t).values
@@ -520,7 +521,7 @@ def test_time_derivative_rejects_nonpositive_time(circle200, solvers):
         heat_time_derivative(solvers["circle200"], field(circle200, np.zeros(200)), 0.0)
 
 
-# -- flow memo ----------------------------------------------------------------
+# -- flow counts ----------------------------------------------------------------
 
 
 @pytest.fixture
@@ -542,54 +543,40 @@ def test_harnack_scan_flows_each_time_once(circle200, computed_flows):
     f = field(circle200, 2.0 + np.cos(circle200.nodes))
     nodes = [0, 50, 100, 150]
     harnack_scan(solver, f, nodes, nodes, [(0.25, 0.75), (0.5, 1.0)], CurvatureDimension(0.0, 1.0))
-    assert len(computed_flows) == 4  # 64 without the memo
+    assert len(computed_flows) == 6  # 4 times, then harnack_check's 2 at the worst instance
 
 
 def test_kernel_corollary_flows_twice(circle200, computed_flows):
+    # li_yau and baudoin_garofalo flow the kernel once each, and its harnack scan
+    # flows each of its two times once, then twice more at the worst instance.
     solver = build_solver(circle200)
     kernel_corollary_suite(solver, 40, CurvatureDimension(0.0, 1.0), [0.5])
-    assert len(computed_flows) == 2  # 130 without the memo
+    assert len(computed_flows) == 6
 
 
-def test_memo_hit_is_bitwise_a_fresh_flow(circle200, computed_flows):
+def test_repeated_flow_is_bitwise_a_fresh_solvers_flow(circle200, computed_flows):
     solver = build_solver(circle200)
     f = field(circle200, 2.0 + np.sin(3.0 * circle200.nodes))
     first = heat_apply(solver, f, 0.3)
-    hit = heat_apply(solver, f, 0.3)
-    assert len(computed_flows) == 1
+    again = heat_apply(solver, f, 0.3)
+    assert len(computed_flows) == 2  # no memo: every call computes its flow
     fresh = heat_apply(build_solver(circle200), f, 0.3)
-    assert hit.values.tobytes() == first.values.tobytes() == fresh.values.tobytes()
-    assert not hit.values.flags.writeable
+    assert again.values.tobytes() == first.values.tobytes() == fresh.values.tobytes()
+    assert not again.values.flags.writeable
     with pytest.raises(ValueError):
-        hit.values[0] = 0.0
+        again.values[0] = 0.0
 
 
-def test_memo_is_bounded_and_recomputes_evicted_flows(computed_flows):
-    n = 40
-    space = build_circle(n, TWO_PI)
-    solver = build_solver(space)
-    f = field(space, 2.0 + np.cos(space.nodes))
-    times = np.linspace(0.01, 1.0, 3 * n)
-    first = heat_apply(solver, f, times[0]).values.tobytes()
-    for t in times:
-        heat_apply(solver, f, t)
-        assert len(solver._flows) <= n // 2
-    before = len(computed_flows)
-    assert heat_apply(solver, f, times[0]).values.tobytes() == first
-    assert len(computed_flows) == before + 1  # evicted, so flowed again
+# Computed flows of an in-process `heatlab run` of each shipped scenario.  A
+# change that flows per scan instance again, or caches flows, moves them.
+SHIPPED_RUN_FLOWS = {"convergence": 6, "flat_circle": 60, "hyperbolic": 50, "sphere": 36}
 
 
-def test_fields_one_ulp_apart_are_distinct_keys(circle200, computed_flows):
-    solver = build_solver(circle200)
-    values = 2.0 + np.cos(circle200.nodes)
-    nudged = values.copy()
-    nudged[7] = np.nextafter(nudged[7], np.inf)
-    f, g = field(circle200, values), field(circle200, nudged)
-    heat_apply(solver, f, 0.5)
-    flowed = heat_apply(solver, g, 0.5)
-    assert len(computed_flows) == 2
-    fresh = heat_apply(build_solver(circle200), g, 0.5)
-    assert flowed.values.tobytes() == fresh.values.tobytes()
+@pytest.mark.parametrize("scenario", sorted(SHIPPED_RUN_FLOWS))
+def test_shipped_runs_compute_pinned_flow_counts(scenario, tmp_path, capsys, computed_flows):
+    path = Path(__file__).resolve().parents[1] / "scenarios" / f"{scenario}.json"
+    assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 0
+    assert len(computed_flows) == SHIPPED_RUN_FLOWS[scenario]
 
 
 # -- analytic kernel oracle --------------------------------------------------

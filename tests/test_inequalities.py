@@ -261,6 +261,47 @@ def test_harnack_rejects_out_of_range_nodes(x, y):
         harnack_check(build_solver(space), field(space, np.ones(40)), x, y, 0.5, 1.0, CD_FLAT)
 
 
+@pytest.mark.parametrize("grid", ["flat_circle", "kernel_corollary"])
+@pytest.mark.parametrize("name, cd", [
+    ("circle200", CD_FLAT), ("sphere400", CD_SPHERE), ("hyperbolic400", CD_HYPERBOLIC),
+])
+def test_harnack_scan_is_the_minimum_of_a_harnack_check_loop(name, cd, grid, solvers):
+    space = solvers[name].space
+    if grid == "flat_circle":  # the shipped flat_circle scan's grid
+        nodes, pairs = [0, 50, 100, 150], [(0.25, 0.75), (0.5, 1.0)]
+    else:  # kernel_corollary_suite's 8 nodes, with its (t/2 - t0, t - t0) pairs
+        t0 = 5.0 * space.spacing**2
+        nodes = [int(i) for i in np.linspace(0, space.n_nodes - 1, 8, dtype=int)]
+        pairs = [(t / 2.0 - t0, t - t0) for t in (0.5, 2.5)]
+    f = field(space, smooth_random_values(space, np.random.default_rng(17)))
+    rep = harnack_scan(build_solver(space), f, nodes, nodes, pairs, cd)
+    solver = build_solver(space)
+    worst, at = math.inf, None
+    for x in nodes:
+        for y in nodes:
+            for s, t in pairs:
+                check = harnack_check(solver, f, x, y, s, t, cd)
+                if check.min_margin < worst:
+                    worst, at = check.min_margin, check.params
+    assert rep.min_margin.hex() == worst.hex()
+    assert rep.notes == f"worst instance: x={at['x']}, y={at['y']}, s={at['s']}, t={at['t']}"
+    assert rep.extras["instances"] == len(nodes) ** 2 * len(pairs)
+
+
+@pytest.mark.parametrize("xs, ys, pairs", [
+    ([0, 50, 200], [0, 50], [(0.25, 0.75)]),  # x past the last node
+    ([0, 50], [0, -1], [(0.25, 0.75)]),  # a negative y must not wrap to node n-1
+    ([0, 50], [0, 50], [(0.25, 0.75), (1.0, 0.5)]),  # s > t
+    ([0, 50], [0, 50], [(0.25, 0.75), (0.0, 0.5)]),  # s = 0
+])
+def test_harnack_scan_rejects_a_bad_instance_anywhere(circle200, solvers, xs, ys, pairs):
+    solver, f = solvers["circle200"], field(circle200, np.ones(200))
+    with pytest.raises(DomainError):
+        harnack_check(solver, f, xs[-1], ys[-1], *pairs[-1], CD_FLAT)
+    with pytest.raises(DomainError):
+        harnack_scan(solver, f, xs, ys, pairs, CD_FLAT)
+
+
 # -- semigroup gradient bounds ---------------------------------------------------
 
 

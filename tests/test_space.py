@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,18 @@ import pytest
 
 from heatlab import (
     CurvatureDimension,
+    DiscreteMeasure,
+    EdgeField,
+    ScalarField,
+    SpectralSolver,
+    TransportPlan,
     build_circle,
     build_hyperbolic_model,
     build_interval,
     build_sphere_model,
 )
 from heatlab.errors import InvalidGeometryError, InvalidParameterError
+from heatlab.transport import point_mass
 
 ALL_BUILDERS = [
     lambda n: build_interval(n, 1.0),
@@ -146,3 +153,40 @@ def test_interior_mask():
     assert list(np.flatnonzero(mask)) == list(range(2, 8))
     circle = build_circle(10, 1.0)
     assert circle.interior_mask(2).all()
+
+
+
+SPACE10 = build_interval(10, 1.0)
+
+
+def _plan(rows=(0,), masses=(1.0,)):
+    mass = point_mass(SPACE10, 0)
+    return TransportPlan(mass, mass, rows, (0,), masses, cost=0.0)
+
+
+# name -> (constructor from one array, the attribute it lands in, valid data)
+VALUE_OBJECTS = {
+    "ScalarField": (lambda a: ScalarField(a, SPACE10), "values", np.ones(10)),
+    "EdgeField": (lambda a: EdgeField(a, SPACE10), "values", np.ones(9)),
+    "ModelSpace": (lambda a: dataclasses.replace(SPACE10, nodes=a), "nodes", SPACE10.nodes),
+    "DiscreteMeasure": (lambda a: DiscreteMeasure(a, SPACE10), "masses", np.full(10, 0.1)),
+    "TransportPlan.masses": (lambda a: _plan(masses=a), "masses", np.ones(1)),
+    "TransportPlan.rows": (lambda a: _plan(rows=a), "rows", np.zeros(1, dtype=int)),
+    "SpectralSolver": (lambda a: SpectralSolver(SPACE10, [0.0], a), "eigenfields", np.ones((10, 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_OBJECTS))
+def test_value_objects_copy_the_callers_array(name):
+    build, attr, template = VALUE_OBJECTS[name]
+    data = template.copy()
+    obj = build(data)
+    assert data.flags.writeable  # the caller's array is not frozen
+    data += 1
+    assert np.array_equal(getattr(obj, attr), template)
+    assert not getattr(obj, attr).flags.writeable
+    # Nor does a write through a slice's base reach the object.
+    base = np.concatenate((template, template))
+    obj = build(base[: len(template)])
+    base += 1
+    assert np.array_equal(getattr(obj, attr), template)
