@@ -45,7 +45,7 @@ from .calculus import ScalarField
 from .errors import HeatlabError, ScenarioError
 from .heat import build_solver
 from .profiles import FIELD_PROFILES, build_fields, constant_profile
-from .reports import InequalityReport, amend, make_report
+from .reports import InequalityReport, _plain, amend, make_report
 from .serialize import margins_to_csv, reports_to_json
 from .space import MODEL_BUILDERS, MODEL_CATALOG, CurvatureDimension
 
@@ -345,8 +345,7 @@ def _run_check(ctx: _Context, check: dict, tolerance_scale: float) -> list[Inequ
 
 
 def _sorted_reports(reports: list[InequalityReport]) -> list[InequalityReport]:
-    return sorted(reports, key=lambda r: (r.name, json.dumps(r.to_dict()["params"],
-                                                             sort_keys=True)))
+    return sorted(reports, key=lambda r: (r.name, json.dumps(_plain(r.params), sort_keys=True)))
 
 
 def run_scenario(scenario: Scenario, out_dir, tolerance_scale: float = 1.0) -> int:

@@ -27,11 +27,18 @@ from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .calculus import ScalarField, _laplacian_values, _same_space, _stiffness_bands
 from .errors import DomainError, InvalidGeometryError, NumericalError
 from .space import ModelSpace, _freeze_arrays
+
+
+def eigh_tridiagonal(*args, **kwargs):
+    """``scipy.linalg.eigh_tridiagonal``, imported on first call: only interval
+    spaces solve a tridiagonal problem, so a circle run never loads scipy."""
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(*args, **kwargs)
 
 
 class ResolutionWarning(UserWarning):

@@ -540,3 +540,22 @@ def test_in_process_commands_carry_no_state(tmp_path):
 def test_run_scenario_accepts_parsed_object(tmp_path):
     scenario = Scenario.from_dict(basic_scenario())
     assert run_scenario(scenario, tmp_path / "out") == 0
+
+
+_CIRCLE_RUNS = """
+import contextlib, io, json, sys, tempfile
+import heatlab.cli as cli
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["run", path, "--out-dir", out]) for path in sys.argv[1:]]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_circle_runs_load_no_scipy():
+    # Circles diagonalize in closed form; scipy serves only intervals and the LP oracle.
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    proc = subprocess.run(
+        [sys.executable, "-c", _CIRCLE_RUNS, *(str(scenarios / f"{name}.json")
+                                               for name in ("flat_circle", "convergence"))],
+        capture_output=True, text=True, env=_child_env(), check=True)
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "scipy": []}
