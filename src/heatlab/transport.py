@@ -1,8 +1,11 @@
 """Optimal transport on discretized 1-D spaces.
 
 Quadratic-cost couplings between discrete measures are computed by monotone
-(quantile) rearrangement, which is optimal on the line; the circular variant
-finds the cyclic shift of the quantile alignment by bisection over its
+(quantile) rearrangement, which is optimal on the line: one stable merge of
+the source's cumulative-mass grid with the target's, lifted to the line
+winding by winding, segments the mass levels in linear time, and running
+counts along the merge name each segment's atoms.  The circular variant finds
+the cyclic shift of the quantile alignment by bisection over its
 cumulative-mass breakpoints, on the cost lifted to the line, which is convex
 in the shift.  A small-instance linear program serves as the independent
 oracle.  On top of the couplings sit the distortion coefficients,
@@ -174,16 +177,32 @@ def _segments(cum0, cum1, theta, top=1.0):
 
     Level u in (0, top] couples source atom F0^{-1}(u) with target atom
     F1^{-1}((u - theta) mod 1) on winding floor(u - theta) of the lifted
-    target.  Bounds are both cumulative-mass grids; segments are classified at
-    their midpoints.  Returns (source atom, target atom, winding, mass).
+    target.  Target atom j ends at level cum1[j] + theta + v on winding v, so
+    the target breakpoints in [0, top] form one ascending run per winding,
+    and cum0 is another; one stable merge of these runs gives the segment
+    bounds.  The source breakpoints at or below a segment's lower bound count
+    off its source atom, and the target breakpoints there, taken in winding
+    order, its target atom and winding.  Returns (source atom, target atom,
+    winding, mass).
     """
-    levels1 = (cum1 + theta) % 1.0
-    bounds = np.unique(np.concatenate([[0.0, top], cum0[cum0 < top], levels1[levels1 < top]]))
-    mids = 0.5 * (bounds[1:] + bounds[:-1])
-    lifted = mids - theta
-    src = np.searchsorted(cum0, mids)
-    tgt = np.minimum(np.searchsorted(cum1, lifted % 1.0), len(cum1) - 1)
-    return src, tgt, np.floor(lifted).astype(int), np.diff(bounds)
+    q = len(cum1)
+    lifted = cum1 + theta
+    # Every target breakpoint in [0, top] lies on winding -w or 1 - w (but for
+    # rounding within an ulp of level 1); lo + lo1 of theirs lie below level 0.
+    w = math.floor(lifted[-1])
+    lo, hi, lo1, hi1 = lifted.searchsorted((w, w + top, w - 1, w - 1 + top)).tolist()
+    n0 = cum0.searchsorted(top)
+    bounds = np.concatenate((cum0[:n0], lifted[lo:hi] - w, lifted[lo1:hi1] - (w - 1), (0.0, top)))
+    order = bounds.argsort(kind="stable")
+    bounds = bounds[order]
+    widths = bounds[1:] - bounds[:-1]
+    # A segment opens at the last k of each run of equal bounds; bounds 0..k are
+    # the 0.0 sentinel, src source breakpoints and k - src target breakpoints,
+    # so its target atom is number lo + lo1 + k - src from atom 0 of winding -w.
+    starts = (widths > 0).nonzero()[0]
+    src = (order < n0).cumsum()[starts]
+    winding, tgt = np.divmod(starts - src + (lo + lo1 - w * q), q)
+    return src, tgt, winding, widths[starts]
 
 
 def _optimal_shift(n: int, idx0, cum0, idx1, cum1) -> float:
@@ -237,14 +256,19 @@ def w2_quantile(space: ModelSpace, mu0: DiscreteMeasure, mu1: DiscreteMeasure) -
     low_src, low_tgt, _, low_mass = _segments(cum0, cum1, theta, top=0.5)
     high_src, high_tgt, _, high_mass = _segments(
         _cumulative(w0[::-1]), _cumulative(w1[::-1]), -theta, top=0.5)
-    src = np.concatenate([low_src, len(w0) - 1 - high_src])
-    tgt = np.concatenate([low_tgt, len(w1) - 1 - high_tgt])
     # Merge duplicate (source, target) cells: the atoms at level 1/2 appear in
-    # both halves, and on the circle one atom pair can meet at both ends.
-    uniq, inverse = np.unique(src.astype(np.int64) * len(idx1) + tgt, return_inverse=True)
-    merged = np.bincount(inverse, weights=np.concatenate([low_mass, high_mass]))
-    rows = idx0[uniq // len(idx1)]
-    cols = idx1[uniq % len(idx1)]
+    # both halves, and on the circle one atom pair can meet at both ends.  Cell
+    # (i, j) has key i q + j, and the top half's cell (p - 1 - i, q - 1 - j) has
+    # key p q - 1 - (i q + j); the keys form a few sorted runs, which a stable
+    # sort merges, and their order is the plan's (row, col) order.
+    p, q = len(idx0), len(idx1)
+    key = np.concatenate((low_src * q + low_tgt, (p * q - 1) - (high_src * q + high_tgt)))
+    order = key.argsort(kind="stable")
+    key = key[order]
+    first = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
+    merged = np.add.reduceat(np.concatenate((low_mass, high_mass))[order], first)
+    rows, cols = np.divmod(key[first], q)
+    rows, cols = idx0[rows], idx1[cols]
     return TransportPlan(mu0, mu1, rows, cols, merged, _plan_cost(space, rows, cols, merged))
 
 

@@ -520,8 +520,8 @@ def _tree(root):
 
 def test_in_process_commands_carry_no_state(tmp_path):
     # One process runs flat_circle, then sweeps convergence over n = 50, 100, 200:
-    # neither the solvers' flow memos nor the CSV writer's node text may leak
-    # between solvers or spaces, so each output equals a fresh process's.
+    # no state may carry over from one command, model or solver to the next, so
+    # each output equals a fresh process's.
     scenarios = Path(__file__).resolve().parents[1] / "scenarios"
     commands = {
         "run": ["run", str(scenarios / "flat_circle.json")],

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from heatlab import (
     CurvatureDimension,
     build_circle,
+    build_hyperbolic_model,
     build_interval,
     build_solver,
     build_sphere_model,
@@ -64,6 +65,32 @@ def exhaustive_arc_profile(space, mu0, mu1):
         d = np.minimum(k, space.n_nodes - k) * space.spacing
         costs.append(float(masses @ (d * d)))
     return np.array(costs)
+
+
+def midpoint_segments(cum0, cum1, theta, top):
+    """Reference segmentation: the sorted union of both grids (the target's taken
+    mod 1), each segment classified by binary search at its midpoint."""
+    levels1 = (cum1 + theta) % 1.0
+    bounds = np.unique(np.concatenate([[0.0, top], cum0[cum0 < top], levels1[levels1 < top]]))
+    mids = 0.5 * (bounds[1:] + bounds[:-1])
+    src = np.searchsorted(cum0, mids)
+    tgt = np.minimum(np.searchsorted(cum1, (mids - theta) % 1.0), len(cum1) - 1)
+    return src, tgt, np.floor(mids - theta).astype(int), np.diff(bounds), bounds
+
+
+def midpoint_interval_plan(mu0, mu1):
+    """Reference interval plan: midpoint segmentations of both halves, cells merged
+    through np.unique and bincount."""
+    idx0, idx1 = mu0.support, mu1.support
+    w0, w1 = mu0.masses[idx0], mu1.masses[idx1]
+    cum = transport._cumulative
+    low = midpoint_segments(cum(w0), cum(w1), 0.0, 0.5)
+    high = midpoint_segments(cum(w0[::-1]), cum(w1[::-1]), -0.0, 0.5)
+    src = np.concatenate([low[0], len(w0) - 1 - high[0]])
+    tgt = np.concatenate([low[1], len(w1) - 1 - high[1]])
+    cells, inverse = np.unique(src * len(w1) + tgt, return_inverse=True)
+    masses = np.bincount(inverse, weights=np.concatenate([low[3], high[3]]))
+    return idx0[cells // len(w1)], idx1[cells % len(w1)], masses
 
 
 def two_pointer_cost(space, mu0, mu1):
@@ -310,6 +337,131 @@ def test_interval_quantile_matches_two_pointer_merge(build):
     plan = w2_quantile(space, mu0, mu1)
     assert plan.cost == pytest.approx(two_pointer_cost(space, mu0, mu1), abs=1e-12)
     assert plan.marginal_defect() <= 1e-12
+
+
+LEVEL = st.one_of(st.integers(1, 63).map(lambda k: k / 64),  # dyadic levels, 1/2 among them
+                  st.floats(1e-9, 1.0, exclude_max=True))
+
+
+@st.composite
+def segmentation_cases(draw):
+    """Two cumulative grids that share some levels, a shift and a top level."""
+    pool = draw(st.lists(LEVEL, max_size=10))
+
+    def grid():  # a bare [1.0] is a single-atom measure
+        own = draw(st.lists(LEVEL, max_size=8))
+        shared = draw(st.lists(st.sampled_from(pool), max_size=len(pool))) if pool else []
+        return np.append(np.unique(np.array(own + shared, dtype=float)), 1.0)
+
+    cum0, cum1 = grid(), grid()
+    kind = draw(st.sampled_from(["0", "-0", "-1", "2-eps", "kink", "kink+ulp", "kink-ulp"]))
+    if kind == "0":
+        theta = 0.0
+    elif kind == "-0":
+        theta = -0.0
+    elif kind == "-1":
+        theta = -1.0
+    elif kind == "2-eps":
+        theta = float(np.nextafter(2.0, 0.0))
+    else:
+        i = draw(st.integers(0, len(cum0) - 1))
+        j = draw(st.integers(0, len(cum1) - 1))
+        theta = (cum0[i] - cum1[j]) % 1.0 + draw(st.integers(-1, 1))
+        if kind != "kink":
+            theta = float(np.nextafter(theta, math.inf if kind == "kink+ulp" else -math.inf))
+        theta = -theta if draw(st.booleans()) else theta  # w2_quantile's top half shifts by -theta
+    return cum0, cum1, theta, draw(st.sampled_from([0.5, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=segmentation_cases())
+def test_merged_segmentation_matches_midpoint_reference(case):
+    cum0, cum1, theta, top = case
+    src, tgt, winding, masses = transport._segments(cum0, cum1, theta, top)
+    ref_src, ref_tgt, ref_winding, ref_masses, bounds = midpoint_segments(cum0, cum1, theta, top)
+    assert np.all(masses > 0)
+    assert math.fsum(masses) == pytest.approx(top, abs=1e-15)
+    assert masses == pytest.approx(ref_masses, abs=1e-15)
+    # A shift one ulp off a kink leaves ulp-wide segments, whose midpoint rounds
+    # onto a bound; there the midpoint rule can name the neighbouring atom.
+    wide = ref_masses > 1e-15
+    assert np.array_equal(src[wide], ref_src[wide])
+    assert np.array_equal(tgt[wide], ref_tgt[wide])
+    assert np.array_equal(winding[wide], ref_winding[wide])
+    # Every segment, ulp-wide ones included, lies inside its source atom's levels
+    # and its target atom's levels on the lifted line (atom j of winding v ends
+    # at cum1[j] + theta + v).
+    lo, hi = bounds[:-1], bounds[1:]
+    assert np.all(hi <= cum0[src])
+    assert np.all(np.where(src > 0, cum0[src - 1], 0.0) <= lo)
+    q = len(cum1)
+    lifted = winding * q + tgt
+
+    def level_end(k):
+        return (cum1[k % q] + theta) + k // q
+
+    assert np.all(hi <= level_end(lifted))
+    assert np.all(level_end(lifted - 1) <= lo)
+
+
+def test_segmentation_counts_breakpoints_that_rounding_puts_below_level_zero():
+    # With a 1e-20 first target atom and theta one ulp below 1, cum1 + theta
+    # rounds to [theta, 2.0]: atom 0 of winding -1 ends one ulp below level 0,
+    # after atom 1 of winding -2 ends at 0.0, so all of (0, 1/2] lies on atom 1
+    # of winding -1.
+    cum0, cum1 = np.array([0.5, 1.0]), np.array([1e-20, 1.0])
+    theta = float(np.nextafter(1.0, 0.0))
+    segments = transport._segments(cum0, cum1, theta, 0.5)
+    assert [a.tolist() for a in segments] == [[0], [1], [-1], [0.5]]
+    assert [a.tolist() for a in segments] == [a.tolist() for a in
+                                             midpoint_segments(cum0, cum1, theta, 0.5)[:4]]
+
+
+def smooth_measure(space, rng):
+    """A floor plus three Gaussian bumps on the unit-scaled grid, normalized against m."""
+    x = (space.nodes - space.nodes[0]) / (space.nodes[-1] - space.nodes[0])
+    density = np.full(space.n_nodes, rng.uniform(0.02, 0.2))
+    for _ in range(3):
+        center, width, height = rng.uniform(), rng.uniform(0.05, 0.3), rng.uniform(0.2, 1.0)
+        density += height * np.exp(-(((x - center) / width) ** 2))
+    return measure_from_density(space, density)
+
+
+def assert_cells_in_plan_order(plan):
+    key = plan.rows.astype(np.int64) * plan.source.space.n_nodes + plan.cols
+    assert np.all(np.diff(key) > 0)
+    assert np.all(plan.masses > 0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_interval(20000, 1.0),
+    lambda: build_sphere_model(20000, 3.0),
+    lambda: build_hyperbolic_model(20000, 3.0, 2.0),
+], ids=["interval", "sphere", "hyperbolic"])
+def test_interval_plans_match_midpoint_reference_bit_for_bit(build):
+    space = build()
+    rng = np.random.default_rng(20000)
+    for _ in range(2):
+        mu0, mu1 = smooth_measure(space, rng), smooth_measure(space, rng)
+        plan = w2_quantile(space, mu0, mu1)
+        rows, cols, masses = midpoint_interval_plan(mu0, mu1)
+        assert np.array_equal(plan.rows, rows)
+        assert np.array_equal(plan.cols, cols)
+        assert np.array_equal(plan.masses, masses)
+        assert_cells_in_plan_order(plan)
+
+
+def test_circle_plan_cells_in_plan_order():
+    rng = np.random.default_rng(31)
+    for n, p, q in [(200, 1, 1), (200, 1, 7), (250, 20, 26), (441, 80, 74), (300, 300, 300)]:
+        space = build_circle(n, TWO_PI)
+        for _ in range(3):
+            m0, m1 = np.zeros(n), np.zeros(n)
+            m0[rng.choice(n, p, replace=False)] = rng.uniform(0.1, 1.0, p)
+            m1[rng.choice(n, q, replace=False)] = rng.uniform(0.1, 1.0, q)
+            plan = w2_quantile(space, measure_from_masses(space, m0), measure_from_masses(space, m1))
+            assert_cells_in_plan_order(plan)
+            assert plan.marginal_defect() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [400, 700, 1220])
